@@ -417,11 +417,15 @@ class ModelResult:
         return "\n".join(lines)
 
 
+def clamp_scope(servers: int, messages: int) -> Tuple[int, int]:
+    """The scope :func:`check_core` actually explores for a request."""
+    return min(servers, MAX_SERVERS), min(messages, MAX_MESSAGES)
+
+
 def check_core(core, servers: int = 3, messages: int = 3) -> ModelResult:
     """Explore every interleaving of ``messages`` sends and their
     arrivals across ``servers`` servers; first violation wins."""
-    servers = min(servers, MAX_SERVERS)
-    messages = min(messages, MAX_MESSAGES)
+    servers, messages = clamp_scope(servers, messages)
     root = _World(core, servers)
     seen: Set[object] = set()
     stack: List[Tuple[_World, List[str]]] = [(root, [])]

@@ -18,10 +18,11 @@ constructed afterwards is instrumented:
   message from its sender (``W[s][me] == M[s][me] + 1``); the sanitizer
   reports the offending clock and cell *before* the clock's own
   ``ClockError`` would fire with less context.
-- **Causal order (online).** A vector-clock reference checker shadows the
-  bus's app-level send/receive hooks and raises the moment a delivery
-  contradicts the happens-before order — only on topologies that promise
-  causal order (``validate=True``; the theorem tests boot cyclic
+- **Causal order (online).** The same vector-clock oracle that judges
+  recorded traces (:class:`~repro.causality.order.DeliveryOracle`) is fed
+  from the bus's app-level send/receive hooks and raises the moment a
+  delivery contradicts the happens-before order — only on topologies that
+  promise causal order (``validate=True``; the theorem tests boot cyclic
   topologies where violations are the *expected outcome*).
 - **Quiescence hygiene.** After ``run_until_idle`` with every server up:
   no held-back envelopes leaked, every engine queue drained, and the
@@ -38,11 +39,11 @@ from __future__ import annotations
 from collections import deque
 from typing import Any, Deque, Dict, List, Optional, Tuple
 
+from repro.causality.order import DeliveryOracle
 from repro.clocks.base import CausalClock, Stamp
 from repro.clocks.matrix import MatrixStamp
 from repro.clocks.updates import UpdateStamp
 from repro.errors import ReproError
-from repro.mom.identifiers import AgentId
 from repro.mom.payloads import Notification
 
 # Retain at most this many published-stamp fingerprints per bus; old
@@ -253,62 +254,34 @@ class ClockSanitizer(CausalClock):
         return f"ClockSanitizer({self.inner!r})"
 
 
-def _vc_strictly_before(a: Dict[AgentId, int], b: Dict[AgentId, int]) -> bool:
-    le = all(value <= b.get(key, 0) for key, value in a.items())
-    return le and not all(value <= a.get(key, 0) for key, value in b.items())
-
-
 class OrderChecker:
-    """Online causal-delivery reference checker (vector clocks per agent).
-
-    Maintains one vector clock per agent outside the system under test.
-    Every app-level send is stamped; on every delivery, any *pending*
-    message to the same agent whose send causally precedes this one proves
-    the MOM delivered out of causal order.
-    """
+    """Online driver of the one causal-delivery oracle, fed from the
+    bus's app-level hooks, outside the system under test. Unlike the
+    offline sweep it cannot know that a message will never arrive: any
+    still-pending predecessor addressed to the same agent proves the MOM
+    delivered out of causal order."""
 
     def __init__(self) -> None:
-        self._vcs: Dict[AgentId, Dict[AgentId, int]] = {}
-        self._pending: Dict[AgentId, Dict[int, Dict[AgentId, int]]] = {}
-
-    def _vc(self, agent: AgentId) -> Dict[AgentId, int]:
-        vc = self._vcs.get(agent)
-        if vc is None:
-            vc = {}
-            self._vcs[agent] = vc
-        return vc
+        self._oracle = DeliveryOracle()
 
     def on_send(self, notification: Notification) -> None:
-        if notification.sender == notification.target:
-            return
-        vc = self._vc(notification.sender)
-        vc[notification.sender] = vc.get(notification.sender, 0) + 1
-        self._pending.setdefault(notification.target, {})[
-            notification.nid
-        ] = dict(vc)
+        if notification.sender != notification.target:
+            self._oracle.send(
+                notification.nid, notification.sender, notification.target
+            )
 
     def on_receive(self, notification: Notification) -> None:
-        if notification.sender == notification.target:
-            return
-        target = notification.target
-        bucket = self._pending.get(target, {})
-        sent_vc = bucket.pop(notification.nid, None)
-        if sent_vc is None:
-            return  # replayed delivery after recovery; already checked
-        for nid, other_vc in bucket.items():
-            if _vc_strictly_before(other_vc, sent_vc):
-                raise SanitizerViolation(
-                    "causal-order",
-                    f"notification {notification.nid} "
-                    f"({notification.sender} -> {target}) delivered before "
-                    f"notification {nid}, which causally precedes it and is "
-                    f"addressed to the same agent",
-                )
-        vc = self._vc(target)
-        for key, value in sent_vc.items():
-            if value > vc.get(key, 0):
-                vc[key] = value
-        vc[target] = vc.get(target, 0) + 1
+        # an nid the oracle does not hold is a self-send, or a replayed
+        # delivery after recovery that was already checked
+        missing = self._oracle.receive(notification.nid)
+        if missing:
+            raise SanitizerViolation(
+                "causal-order",
+                f"notification {notification.nid} "
+                f"({notification.sender} -> {notification.target}) delivered "
+                f"before notification {missing[0]}, which causally precedes "
+                f"it and is addressed to the same agent",
+            )
 
 
 class BusSanitizer:

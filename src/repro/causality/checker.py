@@ -1,10 +1,10 @@
 """One-call causality checkers with structured violation reports.
 
-These wrap :class:`~repro.causality.order.CausalOrder` into the two
-predicates the paper reasons about — "respects causality" globally and
-"respects causality in domain d" — and are the oracles behind the
-end-to-end theorem tests: every MOM run records a trace, and these checkers
-pass judgment on it.
+These wrap :class:`~repro.causality.order.CausalOrder` — one linear-time
+sweep of the trace through the single ``DeliveryOracle`` — into the two
+predicates the paper reasons about, "respects causality" globally and "in
+domain d". They are the judges behind the end-to-end theorem tests: every
+MOM run records a trace, and these checkers pass judgment on it.
 """
 
 from __future__ import annotations

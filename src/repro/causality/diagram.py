@@ -21,7 +21,6 @@ causality break.
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Callable, Dict, Hashable, List, Optional, Tuple
 
 from repro.causality.trace import Event, EventKind, Trace
@@ -29,52 +28,9 @@ from repro.errors import TraceError
 
 
 def _linearize(trace: Trace) -> List[Event]:
-    """A deterministic topological order of all events.
-
-    Constraints: each process's local order, and send-before-receive for
-    every message. Kahn's algorithm with FIFO tie-breaking on insertion
-    order keeps the result stable across runs.
-    """
-    events: List[Event] = []
-    for process in trace.processes:
-        events.extend(trace.events_of(process))
-
-    indegree: Dict[int, int] = {}
-    successors: Dict[int, List[int]] = {i: [] for i in range(len(events))}
-    index_of: Dict[Tuple[Hashable, Hashable, EventKind], int] = {}
-    for i, event in enumerate(events):
-        indegree[i] = 0
-        index_of[(event.process, event.message.mid, event.kind)] = i
-
-    def add_edge(earlier: int, later: int) -> None:
-        successors[earlier].append(later)
-        indegree[later] += 1
-
-    position = 0
-    for process in trace.processes:
-        history = trace.events_of(process)
-        for first, second in zip(history, history[1:]):
-            add_edge(
-                index_of[(process, first.message.mid, first.kind)],
-                index_of[(process, second.message.mid, second.kind)],
-            )
-    for i, event in enumerate(events):
-        if event.kind is EventKind.RECEIVE:
-            send_key = (event.message.src, event.message.mid, EventKind.SEND)
-            send_index = index_of.get(send_key)
-            if send_index is not None:
-                add_edge(send_index, i)
-
-    queue = deque(i for i in range(len(events)) if indegree[i] == 0)
-    order: List[Event] = []
-    while queue:
-        i = queue.popleft()
-        order.append(events[i])
-        for successor in successors[i]:
-            indegree[successor] -= 1
-            if indegree[successor] == 0:
-                queue.append(successor)
-    if len(order) != len(events):
+    """:meth:`Trace.linearize`, insisting that it covers every event."""
+    order = trace.linearize()
+    if len(order) != len(trace):
         raise TraceError(
             "trace has cyclic event dependencies and cannot be linearized "
             "(a receive precedes its own send through local orders)"

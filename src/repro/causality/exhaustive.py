@@ -66,7 +66,6 @@ class _State:
         self.clocks = [clock_cls(size, i) for i in range(size)]
         self.in_flight: List[Tuple[int, object, Message]] = []
         self.events: List[Tuple[str, Message]] = []
-        self.pending_sends: List[Send] = []
 
     def clone(self) -> "_State":
         other = _State.__new__(_State)
@@ -75,7 +74,6 @@ class _State:
         ]
         other.in_flight = list(self.in_flight)
         other.events = list(self.events)
-        other.pending_sends = list(self.pending_sends)
         return other
 
 
@@ -133,8 +131,7 @@ def explore(
                 "shrink the scenario"
             )
         trace = _to_trace(state.events)
-        order = CausalOrder(trace)
-        violated = not order.respects_causality()
+        violated = not CausalOrder(trace).respects_causality()
         if deadlocked:
             counter["deadlocks"] += 1
         if violated:
@@ -158,15 +155,8 @@ def explore(
             branch.events.append(("receive", message))
             if react is not None:
                 for send in react(dst, message.payload):
-                    do_send_branch(branch, send)
+                    do_send(branch, send)
             step(branch)
-
-    def do_send_branch(branch: _State, send: Send) -> None:
-        counter["mid"] += 1
-        message = Message(counter["mid"], send.src, send.dst, payload=send.tag)
-        stamp = branch.clocks[send.src].prepare_send(send.dst)
-        branch.in_flight.append((send.dst, stamp, message))
-        branch.events.append(("send", message))
 
     step(state)
     return ExplorationResult(

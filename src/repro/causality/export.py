@@ -114,6 +114,11 @@ def load_trace(stream: Union[IO[str], Iterable[str]]) -> Trace:
                 raise TraceError(
                     f"line {line_number}: receive of unknown message {mid!r}"
                 )
+            if (message.src, message.dst) != (src, dst):
+                raise TraceError(
+                    f"line {line_number}: receive of {mid!r} as "
+                    f"{src!r}->{dst!r}, but it was sent as {message!r}"
+                )
             trace.record_receive(message)
         else:
             raise TraceError(f"line {line_number}: unknown kind {kind!r}")

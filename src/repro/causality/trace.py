@@ -74,30 +74,32 @@ class Trace:
 
         Raises:
             TraceError: if a message is sent twice, received twice,
-                received without being sent, or recorded at the wrong
-                process.
+                received without being sent, recorded with two different
+                endpoint pairs, or recorded at the wrong process.
         """
         trace = cls()
+        seen: Dict[Hashable, Message] = {}
         for process, local in histories.items():
             for kind, message in local:
+                if seen.setdefault(message.mid, message) != message:
+                    raise TraceError(
+                        f"message {message.mid!r} recorded with different "
+                        f"endpoints ({seen[message.mid]!r} vs {message!r})"
+                    )
                 expected = message.src if kind is EventKind.SEND else message.dst
                 if expected != process:
                     raise TraceError(
                         f"{kind.value} of {message!r} recorded at "
                         f"{process!r}, expected {expected!r}"
                     )
+                # a second send (or receive) is a second event at src
+                # (dst): _append refuses it
+                trace._append(process, Event(kind, process, message))
                 if kind is EventKind.SEND:
-                    if message.mid in trace._sent:
-                        raise TraceError(f"message {message.mid!r} sent twice")
                     trace._sent[message.mid] = message
                     trace._messages[message.mid] = message
                 else:
-                    if message.mid in trace._received:
-                        raise TraceError(
-                            f"message {message.mid!r} received twice"
-                        )
                     trace._received.add(message.mid)
-                trace._append(process, Event(kind, process, message))
         missing = trace._received - set(trace._sent)
         if missing:
             raise TraceError(
@@ -230,6 +232,37 @@ class Trace:
         """Total number of recorded events."""
         return sum(len(history) for history in self._events.values())
 
+    def linearize(self) -> List[Event]:
+        """The events in a (derived, deterministic) order that respects
+        every local order and send-before-receive. Kahn over the local
+        histories: a send is always ready, a receive once its send is out
+        — or was never recorded here, a cross-shard receive in a
+        ``strict=False`` slice. The result stops short of ``len(self)``
+        exactly when ``≺`` has a cycle: what is left waits on itself."""
+        order: List[Event] = []
+        cursor = dict.fromkeys(self._events, 0)
+        out: Set[Hashable] = set()
+        parked: Dict[Hashable, Hashable] = {}  # awaited mid -> its receiver
+        ready = list(reversed(self._events))
+        while ready:
+            process = ready.pop()
+            history = self._events[process]
+            at = cursor[process]
+            while at < len(history):
+                event = history[at]
+                mid = event.message.mid
+                if event.kind is EventKind.SEND:
+                    out.add(mid)
+                    if mid in parked:
+                        ready.append(parked.pop(mid))
+                elif mid not in out and mid in self._sent:
+                    parked[mid] = process
+                    break
+                order.append(event)
+                at += 1
+            cursor[process] = at
+        return order
+
     # ------------------------------------------------------------------
     # Derived traces
     # ------------------------------------------------------------------
@@ -241,12 +274,16 @@ class Trace:
         messages with source and destination in ``d``, preserving each
         process's relative event order, then check the restricted trace.
         """
+        keep = list(keep)
         kept_ids = {m.mid for m in keep}
+        touched = {process for m in keep for process in (m.src, m.dst)}
         unknown = kept_ids - set(self._messages)
         if unknown:
             raise TraceError(f"cannot restrict to unknown messages: {unknown!r}")
         restricted = Trace()
         for process, history in self._events.items():
+            if process not in touched:
+                continue
             for event in history:
                 if event.message.mid in kept_ids:
                     restricted._append(process, event)

@@ -13,8 +13,7 @@ deterministic, so a handful of rounds already yields the exact mean the
 paper needed 100 noisy rounds for.
 
 These drivers are ordinary agents with no dependency on the bench harness,
-so they live in :mod:`repro.mom` (the scenario runner needs them too);
-:mod:`repro.bench.workloads` re-exports them for compatibility.
+so they live in :mod:`repro.mom` (the scenario runner needs them too).
 """
 
 from __future__ import annotations

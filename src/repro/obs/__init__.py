@@ -18,7 +18,7 @@ never draws randomness, never touches the metrics registry.
 """
 
 from repro.obs.events import DEFAULT_CAPACITY, KINDS, EventRing, TraceEvent
-from repro.obs.histogram import LogHistogram
+from repro.metrics.histogram import LogHistogram
 from repro.obs.export import TraceDump, chrome_trace, read_jsonl, write_jsonl
 from repro.obs import flight_recorder
 from repro.obs.diff import (

@@ -24,7 +24,7 @@ from typing import TYPE_CHECKING, Any, Deque, Dict, List, Optional, Tuple
 
 from repro.obs import flight_recorder
 from repro.obs.events import DEFAULT_CAPACITY, EventRing, TraceEvent
-from repro.obs.histogram import LogHistogram
+from repro.metrics.histogram import LogHistogram
 
 if TYPE_CHECKING:
     from repro.mom.bus import MessageBus

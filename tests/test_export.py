@@ -125,6 +125,18 @@ class TestLoadErrors:
                 )
             )
 
+    def test_receive_with_other_endpoints_than_sent_rejected(self):
+        """A hand-edited dump whose receive line names another link than
+        the send used to load silently (src/dst decoded, then ignored)."""
+        with pytest.raises(TraceError, match="line 3"):
+            load_trace(
+                io.StringIO(
+                    '{"kind": "send", "mid": 1, "src": "p", "dst": "q"}\n'
+                    "\n"
+                    '{"kind": "receive", "mid": 1, "src": "r", "dst": "q"}\n'
+                )
+            )
+
     def test_blank_lines_ignored(self):
         trace = Trace()
         m = Message(1, "p", "q")

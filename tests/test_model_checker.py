@@ -20,6 +20,7 @@ from repro.analysis.model import (
     check_core,
     check_named,
     checkable_cores,
+    clamp_scope,
     load_candidate,
     scan_candidate,
 )
@@ -46,9 +47,14 @@ class TestAdmission:
         assert result.states == 3085
 
     def test_scope_is_capped(self):
-        result = check_named("matrix", servers=9, messages=99)
+        # the clamp itself, without paying for the n=3, m=4 exploration
+        # (CI's analysis job runs that one: `model matrix --messages 4`)
+        assert clamp_scope(9, 99) == (3, 4)
+        assert clamp_scope(2, 1) == (2, 1)
+        # ...and check_core explores and reports the clamped scope
+        result = check_named("matrix", servers=9, messages=2)
         assert result.servers == 3
-        assert result.messages == 4
+        assert result.messages == 2
 
     def test_exploration_is_deterministic(self):
         first = check_named("updates", servers=2, messages=2)

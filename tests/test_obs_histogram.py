@@ -12,7 +12,7 @@ import random
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.obs.histogram import LogHistogram
+from repro.metrics.histogram import LogHistogram
 
 
 def oracle_percentile(values, q):
