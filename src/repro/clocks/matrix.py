@@ -20,15 +20,26 @@ whole paper is about shrinking.
 
 Hot-path representation. The matrix lives in one row-major ``array('q')``
 (cell ``(i, j)`` at index ``i * size + j``) instead of nested Python lists,
-and three wall-clock optimizations ride on it — none of which changes a
-single protocol decision, stamp content, or dirty-cell count (the
-differential tests in ``tests/test_differential_clocks.py`` pin this):
+and the wall-clock optimizations below ride on it, so that time and
+memory follow the cells a server actually touches rather than s² — none
+of which changes a single protocol decision, stamp content, or dirty-cell
+count (the differential tests in ``tests/test_differential_clocks.py``
+pin this):
 
 - **Copy-on-write stamps.** ``prepare_send`` hands the stamp the live
   buffer and marks the clock *shared*; the next mutation copies the buffer
   first. A send costs O(1) instead of materializing s² tuples, yet stamps
   stay frozen across retransmissions exactly as the recovery protocol
   requires.
+- **Shared-zero allocation.** A fresh clock points at one immutable
+  all-zero buffer per size and is born *shared*, so the same
+  copy-on-write path gives it a private buffer on its first mutation; a
+  server that never talks in a domain allocates nothing for it. The
+  invariant that makes both safe: **nobody writes a buffer without
+  ``_own_buf()``**.
+- **Column test in C.** The RST test compares column ``me`` of the two
+  matrices as strided ``array`` slices (``buf[me::size]``) instead of
+  one Python iteration per row.
 - **Change-log window merges.** Every cell mutation is appended to a log;
   a stamp captures the log and its length at stamp time. A receiver
   remembers, per sender, the log position it last merged; delivering the
@@ -37,7 +48,9 @@ differential tests in ``tests/test_differential_clocks.py`` pin this):
   already dominated: per-sender FIFO delivery (guaranteed by the RST test)
   means the previous stamp from this sender was merged first, and matrix
   cells only ever grow. Any log discontinuity (first contact, restore,
-  log trim) falls back to the always-correct full-buffer merge.
+  log trim, a decoded stamp that carries no log) falls back to the
+  always-correct full merge, which skips every row whose slice already
+  equals the receiver's and walks only the differing rows.
 - **Journaled persistence images.** The clock tracks which cells changed
   since the last ``sync_image`` call and patches them into a retained
   image instead of re-copying the whole matrix; ``restore`` invalidates
@@ -47,7 +60,8 @@ differential tests in ``tests/test_differential_clocks.py`` pin this):
 from __future__ import annotations
 
 from array import array
-from typing import List, Optional, Tuple, Union
+from operator import gt
+from typing import Dict, List, Optional, Tuple, Union
 
 from repro.clocks.base import CausalClock, Stamp
 from repro.errors import ClockError
@@ -56,6 +70,18 @@ from repro.errors import ClockError
 # entries; outstanding stamps keep the old list object alive, and the
 # identity change makes every receiver fall back to one full merge.
 _LOG_MIN = 64
+
+# One all-zero buffer per clock size, shared by every clock that has not
+# mutated yet. Nobody may write it: a fresh clock is born ``_shared`` and
+# every in-place writer goes through ``MatrixClock._own_buf()``.
+_ZERO_BLOCKS: Dict[int, array] = {}
+
+
+def _zero_block(size: int) -> array:
+    block = _ZERO_BLOCKS.get(size)
+    if block is None:
+        block = _ZERO_BLOCKS[size] = array("q", bytes(8 * size * size))
+    return block
 
 
 class MatrixImage:
@@ -165,8 +191,10 @@ class MatrixClock(CausalClock):
             raise ClockError(f"owner {owner} out of range for size {size}")
         self._size = size
         self._owner = owner
-        self._buf = array("q", bytes(8 * size * size))
-        self._shared = False
+        # Born sharing the all-zero block: a server that never stamps or
+        # delivers in this domain allocates no s² buffer at all.
+        self._buf = _zero_block(size)
+        self._shared = True
         # Append-only (cell_index, new_value) mutation log; replaced (new
         # list, epoch bumped) on trim or restore, which receivers detect
         # by epoch mismatch and answer with a full merge. The epoch (not
@@ -203,7 +231,8 @@ class MatrixClock(CausalClock):
             )
 
     def _own_buf(self) -> array:
-        """Copy-on-write: detach from any outstanding stamp before mutating."""
+        """Copy-on-write: detach from any outstanding stamp (or the shared
+        zero block) before mutating. The only way to a writable buffer."""
         if self._shared:
             self._buf = array("q", self._buf)
             self._shared = False
@@ -244,14 +273,16 @@ class MatrixClock(CausalClock):
         sender = stamp.sender
         self._check_peer(sender, "sender")
         size = self._size
-        buf = self._buf
-        sbuf = stamp._buf
-        if sbuf[sender * size + me] != buf[sender * size + me] + 1:
+        # Column ``me`` of both matrices as strided copies, compared in C.
+        # Bumping the sender's row of our copy turns the FIFO condition
+        # into equality there, which also masks that row out of the
+        # "nothing newer en route" comparison of the remaining rows.
+        col = self._buf[me::size]
+        scol = stamp._buf[me::size]
+        col[sender] += 1
+        if scol[sender] != col[sender]:
             return False
-        for k in range(size):
-            if k != sender and sbuf[k * size + me] > buf[k * size + me]:
-                return False
-        return True
+        return scol == col or not any(map(gt, scol, col))
 
     def is_duplicate(self, stamp: Stamp) -> bool:
         if not isinstance(stamp, MatrixStamp):
@@ -298,14 +329,21 @@ class MatrixClock(CausalClock):
                     journal.add(idx)
                     dirty += 1
         else:
+            # Full merge, row by row: a row whose slice already equals
+            # ours (compared in C) holds nothing to learn; only differing
+            # rows are walked, in the same ascending cell order.
             sbuf = stamp._buf
-            for idx in range(self._size * self._size):
-                value = sbuf[idx]
-                if value > buf[idx]:
-                    buf[idx] = value
-                    log.append((idx, value))
-                    journal.add(idx)
-                    dirty += 1
+            size = self._size
+            for base in range(0, size * size, size):
+                srow = sbuf[base : base + size]
+                if srow == buf[base : base + size]:
+                    continue
+                for idx, value in enumerate(srow, base):
+                    if value > buf[idx]:
+                        buf[idx] = value
+                        log.append((idx, value))
+                        journal.add(idx)
+                        dirty += 1
         self._dirty += dirty
         if stamp._log is not None:
             self._merged[sender] = (stamp._log_epoch, stamp._log_len)
@@ -387,12 +425,10 @@ class MatrixClock(CausalClock):
         grown = MatrixClock(new_size, self._owner)
         old = self._size
         buf = self._buf
-        gbuf = grown._buf
+        gbuf = grown._own_buf()
         for row in range(old):
-            base = row * old
             gbase = row * new_size
-            for col in range(old):
-                gbuf[gbase + col] = buf[base + col]
+            gbuf[gbase : gbase + old] = buf[row * old : (row + 1) * old]
         return grown
 
     def __repr__(self) -> str:

@@ -190,7 +190,7 @@ class UpdatesClock(CausalClock):
         cells = size * size
         self._value = array("q", bytes(8 * cells))
         self._cstate = array("q", bytes(8 * cells))
-        self._origin = array("q", [owner] * cells)
+        self._origin = array("q", [owner]) * cells
         self._sent_state = array("q", bytes(8 * size))
         self._state = 0
         # (state, cell_index) per modification, sorted ascending; the

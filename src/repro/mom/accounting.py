@@ -32,7 +32,7 @@ Instrument catalog (labels in braces; see ``docs/observability.md``):
 ``channel_ack_retries_total``         {srv}      transaction-ACK timeouts -> stamped resends
 ``channel_forwards_total``            {srv}      router store-and-forward re-posts
 ``channel_unacked_depth``             {srv}      QueueOUT occupancy (pulled)
-``clock_state_cells``                 {srv,dom}  resident matrix cells, s² per member (pulled)
+``clock_state_cells``                 {srv,dom}  nominal matrix cells, s² per member (pulled)
 ``clock_merges``                      {srv,dom,mode}  window vs full merges (pulled)
 ``engine_reactions_total``            {srv}      atomic reactions committed
 ``engine_queue_depth``                {srv}      QueueIN occupancy (pulled)

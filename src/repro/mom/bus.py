@@ -497,9 +497,11 @@ class MessageBus:
         return sum(s.store.cells_written for s in self.servers.values())
 
     def total_clock_state_cells(self) -> int:
-        """Resident matrix-clock state, in cells, summed over servers —
-        Σ over (server, domain) of s_d². The flat MOM holds n·n² cells
-        total; the decomposed MOM holds Σ s²·(members) ≈ linear in n."""
+        """The protocol's nominal matrix-clock state, in cells, summed over
+        servers — Σ over (server, domain) of s_d², what real servers hold
+        (not the simulator's resident bytes: idle clocks share one zero
+        buffer). The flat MOM holds n·n² cells total; the decomposed MOM
+        holds Σ s²·(members) ≈ linear in n."""
         total = 0
         for server in self.servers.values():
             for item in server.channel.domain_items.values():

@@ -17,10 +17,9 @@ causal-router-server".
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Optional
+from typing import TYPE_CHECKING, Optional
 
 from repro.clocks.base import CausalClock
-from repro.errors import TopologyError
 from repro.protocol.core import CausalCore
 from repro.topology.domains import Domain
 
@@ -32,7 +31,7 @@ class DomainItem:
     """One server's view of one domain: local identity + domain clock."""
 
     __slots__ = (
-        "domain", "domain_server_id", "core", "_clock", "_local_ids", "acct"
+        "domain", "domain_server_id", "core", "_clock", "acct"
     )
 
     def __init__(
@@ -45,12 +44,7 @@ class DomainItem:
             creates and drives this domain's clock.
         """
         self.domain = domain
-        # The idTable, materialized once: Domain.local_id is a linear
-        # tuple.index scan, too slow to repeat on every hop.
-        self._local_ids: Dict[int, int] = {
-            server: local for local, server in enumerate(domain.servers)
-        }
-        self.domain_server_id = self._local_ids_lookup(server_id)
+        self.domain_server_id = domain.local_id(server_id)
         self.core = core
         self._clock = core.create_clock(domain.size, self.domain_server_id)
         # cost-accounting handle bundle, attached by the Channel at boot;
@@ -65,17 +59,10 @@ class DomainItem:
     def clock(self) -> CausalClock:
         return self._clock
 
-    def _local_ids_lookup(self, global_server: int) -> int:
-        try:
-            return self._local_ids[global_server]
-        except KeyError:
-            raise TopologyError(
-                f"server {global_server} is not in domain {self.domain_id!r}"
-            ) from None
-
     def local_id(self, global_server: int) -> int:
-        """§5's idTable lookup: global ServerId → domainServerId."""
-        return self._local_ids_lookup(global_server)
+        """§5's idTable lookup: global ServerId → domainServerId (the
+        domain holds the one table all its members share)."""
+        return self.domain.local_id(global_server)
 
     def global_id(self, domain_server_id: int) -> int:
         """Reverse lookup: domainServerId → global ServerId."""

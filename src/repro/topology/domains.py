@@ -10,6 +10,7 @@ router-servers.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, FrozenSet, Iterable, List, Mapping, Sequence, Tuple
 
 from repro.causality.chains import Membership
@@ -46,11 +47,18 @@ class Domain:
     def size(self) -> int:
         return len(self.servers)
 
+    @cached_property
+    def id_table(self) -> Dict[int, int]:
+        """§5's idTable: global ``ServerId`` → ``domainServerId``. Built
+        once per domain and shared read-only by every member's
+        :class:`~repro.mom.domain_item.DomainItem`."""
+        return {server: local for local, server in enumerate(self.servers)}
+
     def local_id(self, server: int) -> int:
-        """The ``domainServerId`` of a member (§5's idTable, inverted)."""
+        """The ``domainServerId`` of a member (an idTable lookup)."""
         try:
-            return self.servers.index(server)
-        except ValueError:
+            return self.id_table[server]
+        except KeyError:
             raise TopologyError(
                 f"server {server} is not in domain {self.domain_id!r}"
             ) from None

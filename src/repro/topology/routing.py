@@ -27,6 +27,11 @@ exploits two structural facts without changing a single produced route:
   only for servers that actually exchange messages), so BFS trees are
   built lazily per destination and memoized.  Connectivity is still
   verified eagerly at build time, with the same error as before.
+- only a router can extend the frontier: a server in one domain was
+  discovered through exactly that domain, which is absorbed by the time
+  it would be popped.  So the BFS queue holds the destination and the
+  routers it discovers, and a tree costs O(Σ|domain|) scans plus one pop
+  per router instead of one per server.
 
 Determinism is preserved exactly: the BFS discovery order — pop order,
 then neighbours in ascending server id — is identical to iterating
@@ -144,7 +149,11 @@ class _RoutingIndex:
                 if not visited[neighbor]:
                     visited[neighbor] = 1
                     parents[neighbor] = current
-                    order.append(neighbor)
+                    # Only a router can extend the frontier: the single
+                    # domain of any other server is the one that just
+                    # absorbed it, so its pop would find nothing active.
+                    if len(domains_of[neighbor]) > 1:
+                        order.append(neighbor)
         self._parents[dest] = parents
         self.scan_counts[dest] = scans
         if self._trees is not None:

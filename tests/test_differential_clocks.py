@@ -14,12 +14,18 @@ these tests name the first operation where they do.
 """
 
 import copy
+from array import array
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from repro.clocks.matrix import MatrixClock
-from repro.clocks.reference import ReferenceMatrixClock, ReferenceUpdatesClock
+from repro.clocks.matrix import MatrixClock, MatrixStamp
+from repro.clocks.reference import (
+    ReferenceMatrixClock,
+    ReferenceMatrixStamp,
+    ReferenceUpdatesClock,
+)
 from repro.clocks.updates import UpdatesClock
+from repro.errors import ClockError
 
 
 PAIRS = {
@@ -262,3 +268,189 @@ class TestLogTrimAndWindowMerge:
                         "value", "cstate", "origin", "sent_state", "state"
                     ):
                         assert got[field] == ref_snap[field], field
+
+
+# ----------------------------------------------------------------------
+# Random matrices: the column test and the full (row-skipping) merge
+# ----------------------------------------------------------------------
+
+
+def rows_of(flat, size):
+    return [list(flat[r * size : (r + 1) * size]) for r in range(size)]
+
+
+def restored_pair(flat, size, owner):
+    """The optimized and the reference clock, both holding ``flat``."""
+    new, ref = MatrixClock(size, owner), ReferenceMatrixClock(size, owner)
+    new.restore(rows_of(flat, size))
+    ref.restore(rows_of(flat, size))
+    return new, ref
+
+
+def outcome(call):
+    try:
+        return call()
+    except ClockError:
+        return "ClockError"
+
+
+@st.composite
+def rst_cases(draw):
+    """A receiver matrix and a stamp matrix that sits above, below or level
+    with it cell by cell. The sender may be out of range or the receiver
+    itself; most draws force the FIFO cell to "next" and half keep the
+    rest of the receiver's column free of newer messages, so that both
+    verdicts of the column test (and the merge behind it) are exercised."""
+    size = draw(st.integers(1, 9))
+    cells = size * size
+    me = draw(st.integers(0, size - 1))
+    sender = draw(
+        st.one_of(st.integers(0, size - 1), st.integers(-1, size))
+    )
+    mine = draw(st.lists(st.integers(0, 3), min_size=cells, max_size=cells))
+    deltas = draw(
+        st.lists(
+            st.sampled_from([0, 0, 0, 0, -1, 1, 2]),
+            min_size=cells, max_size=cells,
+        )
+    )
+    theirs = [max(0, m + d) for m, d in zip(mine, deltas)]
+    if draw(st.booleans()):
+        for idx in range(me, cells, size):
+            theirs[idx] = min(theirs[idx], mine[idx])
+    if 0 <= sender < size and draw(st.integers(0, 3)):
+        theirs[sender * size + me] = mine[sender * size + me] + 1
+    return size, me, sender, mine, theirs
+
+
+class TestRandomMatrices:
+    """Arbitrary (not protocol-reachable) matrices against the reference:
+    the strided column test and the row-skipping full merge must agree
+    with the seed's per-row and per-cell loops on every input."""
+
+    def check_delivery(self, new, ref, s_new, s_ref, mine, theirs):
+        """Run one stamp through both clocks; everything observable — the
+        verdict, the merged cells, the dirty count, the change log and the
+        journal-patched persistence image — must match the cell loop."""
+        new.sync_image()  # retain an image: the next sync patches it
+        verdict = outcome(lambda: new.can_deliver(s_new))
+        assert verdict == outcome(lambda: ref.can_deliver(s_ref))
+        assert new.snapshot() == ref.snapshot()  # the test is pure
+        if verdict is not True:
+            # deliver keeps its guard, whatever the reason
+            for clock, stamp in ((new, s_new), (ref, s_ref)):
+                try:
+                    clock.deliver(stamp)
+                except ClockError:
+                    continue
+                raise AssertionError("undeliverable stamp was merged")
+            assert new.snapshot() == ref.snapshot() == rows_of(mine, new.size)
+            return verdict
+        full_before = new.stat_full_merges
+        new.deliver(s_new)
+        ref.deliver(s_ref)
+        assert new.stat_full_merges == full_before + 1
+        assert new.snapshot() == ref.snapshot()
+        assert new.dirty_cells() == ref.dirty_cells()
+        # exactly what the ascending cell loop logged, in its order
+        assert new._log == [
+            (idx, value)
+            for idx, value in enumerate(theirs)
+            if value > mine[idx]
+        ]
+        image = new.sync_image()
+        assert rows_of(image.buf, new.size) == ref.snapshot()
+        return verdict
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=rst_cases())
+    def test_decoded_stamp_on_restored_clock(self, case):
+        # a decoded stamp carries no log, a restored clock remembers no
+        # merge position: both force the full merge
+        size, me, sender, mine, theirs = case
+        new, ref = restored_pair(mine, size, me)
+        s_new = MatrixStamp(sender, me, size, array("q", theirs))
+        s_ref = ReferenceMatrixStamp(
+            sender, me, tuple(tuple(row) for row in rows_of(theirs, size))
+        )
+        self.check_delivery(new, ref, s_new, s_ref, mine, theirs)
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=rst_cases(), data=st.data())
+    def test_first_contact_with_a_live_sender(self, case, data):
+        # the stamp comes from a real sender clock (it carries a log and
+        # an epoch the receiver has never seen) restored to ``theirs``
+        size, me, sender, mine, theirs = case
+        assume(0 <= sender < size and sender != me)
+        idx = sender * size + me
+        before = list(theirs)
+        before[idx] = max(0, theirs[idx] - 1)
+        theirs = list(before)
+        theirs[idx] += 1
+        new_sender, ref_sender = restored_pair(before, size, sender)
+        new, ref = restored_pair(mine, size, me)
+        s_new = new_sender.prepare_send(me)
+        s_ref = ref_sender.prepare_send(me)
+        assert stamp_payload(s_new) == stamp_payload(s_ref)
+        verdict = self.check_delivery(new, ref, s_new, s_ref, mine, theirs)
+        if verdict is True and data.draw(st.booleans()):
+            # a receiver restore forgets the merge position: the next
+            # stamp from the same sender is a full merge again
+            rolled = new.snapshot()
+            new.restore(rolled)
+            ref.restore(rolled)
+            flat = [cell for row in rolled for cell in row]
+            after = [cell for row in new_sender.snapshot() for cell in row]
+            after[idx] += 1
+            self.check_delivery(
+                new, ref,
+                new_sender.prepare_send(me), ref_sender.prepare_send(me),
+                flat, after,
+            )
+
+    def test_wrong_size_stamp_is_an_error_on_both(self):
+        new, ref = restored_pair([0] * 9, 3, 1)
+        s_new = MatrixStamp(0, 1, 2, array("q", [0, 1, 0, 0]))
+        s_ref = ReferenceMatrixStamp(0, 1, ((0, 1), (0, 0)))
+        assert outcome(lambda: new.can_deliver(s_new)) == "ClockError"
+        assert outcome(lambda: ref.can_deliver(s_ref)) == "ClockError"
+
+    @settings(max_examples=25, deadline=None)
+    @given(case=rst_cases())
+    def test_full_merge_after_sender_log_trim(self, case):
+        # The sender's log is trimmed (new epoch) between two stamps to
+        # the same receiver, so the second delivery cannot use the window
+        # it recorded for the first and falls back to the full merge.
+        size, me, sender, mine, theirs = case
+        assume(size >= 3 and 0 <= sender < size and sender != me)
+        idx = sender * size + me
+        before = list(theirs)
+        before[idx] = mine[idx]  # the first stamp is FIFO-next
+        column = range(me, size * size, size)
+        for cell in column:  # ... and carries nothing newer en route
+            if cell != idx:
+                before[cell] = min(before[cell], mine[cell])
+        new_sender, ref_sender = restored_pair(before, size, sender)
+        new, ref = restored_pair(mine, size, me)
+        first = (new_sender.prepare_send(me), ref_sender.prepare_send(me))
+        assert new.can_deliver(first[0]) and ref.can_deliver(first[1])
+        new.deliver(first[0])
+        ref.deliver(first[1])
+        other = next(k for k in range(size) if k not in (me, sender))
+        epoch = new_sender._log_epoch
+        for _ in range(max(64, 4 * size * size) + 1):
+            new_sender.prepare_send(other)
+            ref_sender.prepare_send(other)
+        second = (new_sender.prepare_send(me), ref_sender.prepare_send(me))
+        assert new_sender._log_epoch > epoch
+        new.clear_dirty()
+        ref.clear_dirty()
+        full_before = new.stat_full_merges
+        assert new.can_deliver(second[0]) and ref.can_deliver(second[1])
+        new.deliver(second[0])
+        ref.deliver(second[1])
+        assert new.stat_full_merges == full_before + 1
+        assert new.snapshot() == ref.snapshot()
+        assert new.dirty_cells() == ref.dirty_cells()
+        image = new.sync_image()
+        assert rows_of(image.buf, size) == ref.snapshot()

@@ -1,10 +1,18 @@
 """Unit tests for full-matrix clocks: the RST delivery test, merging,
 duplicates, persistence snapshots."""
 
+import copy
+import pickle
+import tracemalloc
+
 import pytest
 
 from repro.clocks import MatrixClock
+from repro.clocks import matrix as matrix_module
 from repro.errors import ClockError
+from repro.mom.bus import MessageBus
+from repro.mom.config import BusConfig
+from repro.topology.builders import bus as bus_topology
 
 
 def make_group(size):
@@ -176,3 +184,89 @@ class TestPersistence:
         recovered = MatrixClock(3, 1)
         recovered.restore(snapshot)
         assert recovered.is_duplicate(stamp)
+
+
+def _send_and_deliver(clock, peer):
+    peer.deliver(clock.prepare_send(peer.owner))
+    clock.deliver(peer.prepare_send(clock.owner))
+
+
+def _via_restore(clock):
+    clock.restore(clock.sync_image())
+    clock.restore([[0] * clock.size for _ in range(clock.size)])
+    return clock
+
+
+def _via_pickle(clock):
+    return pickle.loads(pickle.dumps(clock))
+
+
+class TestSharedZeroBlock:
+    """Fresh clocks of one size share one all-zero buffer copy-on-write;
+    whatever one of them does, the others must keep reading zero."""
+
+    SIZE = 4
+
+    def assert_all_zero(self, clocks):
+        zero = [[0] * self.SIZE for _ in range(self.SIZE)]
+        for clock in clocks:
+            assert clock.snapshot() == zero
+        assert MatrixClock(self.SIZE, 0).snapshot() == zero
+
+    @pytest.mark.parametrize(
+        "derive",
+        [lambda c: c, _via_restore, copy.deepcopy, _via_pickle],
+        ids=["mutate", "restore", "deepcopy", "pickle"],
+    )
+    def test_one_clock_writing_leaves_the_others_zero(self, derive):
+        bystanders = [MatrixClock(self.SIZE, i % self.SIZE) for i in range(16)]
+        clock = derive(MatrixClock(self.SIZE, 0))
+        peer = MatrixClock(self.SIZE, 1)
+        _send_and_deliver(clock, peer)
+        assert clock.cell(0, 1) == 1 and clock.cell(1, 0) == 1
+        self.assert_all_zero(bystanders)
+
+    def test_grow_copies_the_known_block_only(self):
+        # regression: grow() used to write the grown clock's buffer in
+        # place, which with a shared zero block would have corrupted every
+        # later clock of the grown size
+        bystanders = [MatrixClock(self.SIZE, i) for i in range(self.SIZE)]
+        clock, peer = MatrixClock(2, 0), MatrixClock(2, 1)
+        _send_and_deliver(clock, peer)
+        grown = clock.grow(self.SIZE)
+        assert grown.snapshot() == [
+            [0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0],
+        ]
+        grown.prepare_send(3)
+        self.assert_all_zero(bystanders)
+
+    def test_stamp_of_a_first_send_does_not_see_the_zero_block(self):
+        clock = MatrixClock(self.SIZE, 0)
+        stamp = clock.prepare_send(1)
+        assert stamp.entry(0, 1) == 1
+        self.assert_all_zero([MatrixClock(self.SIZE, 2)])
+
+    def test_booting_4000_servers_allocates_no_clock_buffers(self):
+        # The memory guard: 4 063 (server, domain) clocks of ~63² cells
+        # were 133 MiB of private zero-filled buffers; now only the
+        # per-size zero blocks exist until a server first stamps or
+        # delivers. Per-clock bookkeeping (log list, merge dict, journal
+        # set) is a few hundred bytes each and is not a buffer; a 63²
+        # buffer is 31 KiB.
+        tracemalloc.start()
+        try:
+            bus = MessageBus(BusConfig(topology=bus_topology(4000)))
+            snapshot = tracemalloc.take_snapshot()
+        finally:
+            tracemalloc.stop()
+        in_clock_core = snapshot.filter_traces(
+            [tracemalloc.Filter(True, matrix_module.__file__)]
+        )
+        buffers = sum(
+            trace.size for trace in in_clock_core.traces if trace.size >= 1024
+        )
+        assert buffers < 2**20
+        # the protocol's nominal state is reported unchanged: s² per member
+        assert bus.total_clock_state_cells() == sum(
+            domain.size ** 3 for domain in bus.config.topology.domains
+        )

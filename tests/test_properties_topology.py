@@ -6,6 +6,7 @@ import random as pyrandom
 from hypothesis import assume, given, settings, strategies as st
 
 from repro.errors import TopologyError
+from repro.metrics.registry import Registry
 from repro.topology import (
     CommunicationGraph,
     build_routing_tables,
@@ -143,3 +144,86 @@ class TestRepairProperties:
             return  # disconnected or unrepairable: acceptable, reported
         validate_topology(repaired)
         assert repaired.server_count == topology.server_count
+
+
+def _all_servers_bfs(topology, dest):
+    """The routing BFS with every discovered server on the frontier (what
+    the index did before it kept routers only): parents, scan count."""
+    members = [tuple(sorted(d.servers)) for d in topology.domains]
+    domains_of = {s: [] for s in topology.servers}
+    for di, group in enumerate(members):
+        for server in group:
+            domains_of[server].append(di)
+    parents = [-1] * topology.server_count
+    visited = {dest}
+    absorbed = set()
+    order = [dest]
+    scans = 0
+    for current in order:
+        active = [d for d in domains_of[current] if d not in absorbed]
+        absorbed.update(active)
+        candidates = sorted(s for d in active for s in members[d])
+        scans += len(candidates)
+        for neighbor in candidates:
+            if neighbor not in visited:
+                visited.add(neighbor)
+                parents[neighbor] = current
+                order.append(neighbor)
+    return parents, scans
+
+
+@st.composite
+def connected_topologies(draw):
+    """Domains grown as a random tree: each new domain hangs off one
+    server of an earlier one. Hanging several off the same server makes
+    it a router of three or more domains; ``extra`` memberships add
+    shortcuts (and cycles). Server ids and member order are shuffled so
+    that tie-breaking by lowest id is exercised."""
+    domain_count = draw(st.integers(1, 7))
+    groups = [list(range(draw(st.integers(1, 5))))]
+    n = len(groups[0])
+    for _ in range(domain_count - 1):
+        host = draw(st.sampled_from(groups))
+        hinge = draw(st.sampled_from(host))
+        fresh = draw(st.integers(1, 4))
+        groups.append([hinge] + list(range(n, n + fresh)))
+        n += fresh
+    for _ in range(draw(st.integers(0, 2))):
+        group = draw(st.sampled_from(groups))
+        extra = draw(st.integers(0, n - 1))
+        if extra not in group:
+            group.append(extra)
+    relabel = draw(st.permutations(range(n)))
+    return from_domain_map(
+        {
+            f"D{i}": draw(st.permutations([relabel[s] for s in group]))
+            for i, group in enumerate(groups)
+        }
+    )
+
+
+class TestRoutingFrontier:
+    @given(topology=connected_topologies())
+    @settings(max_examples=150, deadline=None)
+    def test_router_only_frontier_equals_all_servers_bfs(self, topology):
+        registry = Registry()
+        index = build_routing_tables(topology, registry=registry)[0].index
+        trees = 1  # the eager connectivity check roots one at server 0
+        total_scans = index.scan_counts[0]
+        for dest in topology.servers:
+            parents, scans = _all_servers_bfs(topology, dest)
+            assert index.parents_towards(dest) == parents
+            assert index.scan_counts[dest] == scans
+            if dest:
+                trees += 1
+                total_scans += scans
+            # distances follow the same parent pointers
+            dist = index.distances_from(dest)
+            for server in topology.servers:
+                hops, current = 0, server
+                while current != dest:
+                    current = parents[current]
+                    hops += 1
+                assert dist[server] == hops
+        assert registry.counter("routing_bfs_trees_total").value == trees
+        assert registry.counter("routing_bfs_scans_total").value == total_scans
