@@ -18,19 +18,10 @@ the paper's whole design is about keeping True for less.
 import pytest
 
 from conftest import bench_once
-from repro.baselines.causal_histories import HistoryClock
 from repro.bench import run_baseline_unicast, run_remote_unicast
-from repro.mom.config import _CLOCKS
 
 N = 30
 ROUNDS = 10
-
-
-@pytest.fixture(autouse=True)
-def register_history_clock():
-    _CLOCKS["histories"] = HistoryClock
-    yield
-    _CLOCKS.pop("histories", None)
 
 
 @pytest.mark.parametrize("clock", ["matrix", "updates", "histories", "fifo"])
@@ -71,7 +62,7 @@ def test_zoo_summary(benchmark):
         assert rows[clock].causal_ok
     # (fifo happens to pass too on a pure ping-pong — no relays — which is
     # exactly why §2 calls the reduction tempting; the relay tests and the
-    # exhaustive checker are where it falls apart)
+    # model checker's scenario table are where it falls apart)
     assert rows["fifo"].causal_ok
 
 

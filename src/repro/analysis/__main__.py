@@ -25,15 +25,21 @@ from repro.analysis.lint import (
 from repro.analysis.rules import ALL_RULES, RULES_BY_ID
 
 
+def _git_toplevel() -> Path:
+    return Path(
+        subprocess.run(
+            ["git", "rev-parse", "--show-toplevel"],
+            capture_output=True,
+            text=True,
+            check=True,
+        ).stdout.strip()
+    )
+
+
 def _git_changed_files() -> Set[Path]:
     """Changed ``*.py`` files: unstaged + staged ``git diff --name-only``,
     resolved against the repository root. Raises on any git failure."""
-    top = subprocess.run(
-        ["git", "rev-parse", "--show-toplevel"],
-        capture_output=True,
-        text=True,
-        check=True,
-    ).stdout.strip()
+    top = _git_toplevel()
     names: Set[str] = set()
     for extra in ([], ["--cached"]):
         out = subprocess.run(
@@ -43,9 +49,7 @@ def _git_changed_files() -> Set[Path]:
             check=True,
         ).stdout
         names.update(line.strip() for line in out.splitlines() if line.strip())
-    return {
-        Path(top) / name for name in names if name.endswith(".py")
-    }
+    return {top / name for name in names if name.endswith(".py")}
 
 
 def _cmd_lint(args: argparse.Namespace) -> int:
@@ -119,13 +123,43 @@ def _cmd_rules(args: argparse.Namespace) -> int:
     return 0
 
 
-#: Packages whose changes retrigger the model-checker admission gate.
-_MODEL_TRIGGER_PARTS = ("clocks", "mom", "protocol")
+#: Repo-relative paths whose changes retrigger the model-checker
+#: admission gate besides the registered cores' own modules: the core
+#: boundary, the checker and its oracle.
+_MODEL_TRIGGER_DIR = "src/repro/protocol/"
+_MODEL_TRIGGER_FILES = (
+    "src/repro/analysis/model.py",
+    "src/repro/causality/order.py",
+)
 
 
-def _model_relevant(paths: Set[Path]) -> bool:
+def _model_triggers() -> Set[str]:
+    """Repo-relative source files that can move a model-checker verdict:
+    the module of every registered core class, clock class and stamp
+    class (their ``repro`` bases included), plus the checker itself."""
+    from repro.protocol import registered_cores
+
+    files = set(_MODEL_TRIGGER_FILES)
+    for core in registered_cores():
+        for cls in (type(core), core.clock_cls, core.stamp_cls):
+            for base in cls.__mro__:
+                module = base.__module__
+                if module.startswith("repro."):
+                    files.add("src/" + module.replace(".", "/") + ".py")
+    return files
+
+
+def _model_relevant(paths: Set[Path], root: Path) -> bool:
+    """Does any of ``paths`` (absolute) touch a model-checker trigger?
+    Paths are matched relative to the repository ``root``, so the names
+    of directories above the checkout never count."""
+    triggers = _model_triggers()
     for path in paths:
-        if any(part in _MODEL_TRIGGER_PARTS for part in path.parts):
+        try:
+            name = path.relative_to(root).as_posix()
+        except ValueError:
+            continue
+        if name in triggers or name.startswith(_MODEL_TRIGGER_DIR):
             return True
     return False
 
@@ -142,13 +176,15 @@ def _cmd_model(args: argparse.Namespace) -> int:
     if args.changed:
         try:
             changed = _git_changed_files()
+            root = _git_toplevel()
         except (OSError, subprocess.CalledProcessError) as exc:
             print(f"error: --changed needs a git checkout: {exc}", file=sys.stderr)
             return 2
-        if not _model_relevant(changed):
+        if not _model_relevant(changed, root):
             print(
-                "model: no changes under clocks/, mom/ or protocol/ — "
-                "admission gate skipped",
+                "model: no changes to a registered core's modules, "
+                "protocol/, the checker or its oracle — admission gate "
+                "skipped",
                 file=sys.stderr,
             )
             return 0
@@ -311,8 +347,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     model_parser.add_argument(
         "--changed",
         action="store_true",
-        help="run only when git-changed files touch clocks/, mom/ or "
-        "protocol/; otherwise exit 0 immediately",
+        help="run only when git-changed files touch a registered core's "
+        "modules, protocol/, the checker or its oracle; otherwise exit 0 "
+        "immediately",
     )
     model_parser.add_argument(
         "--json", action="store_true", help="emit results as JSON"

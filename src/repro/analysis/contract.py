@@ -28,10 +28,9 @@ every core honours a contract the interpreter never checks:
   packages get the same determinism guarantee R007 gives the built-ins.
 - **R023** — registration completeness: every ``CausalClock`` subclass
   is claimed by a registered core or carries an explicit
-  ``protocol_exempt = "<why>"`` marker; every ``_CLOCKS`` boot entry
-  resolves to a registered core or an exempt clock; every
-  ``repro.baselines`` variant module either contributes a registered
-  clock or declares ``PROTOCOL_EXEMPT = "<why>"``.
+  ``protocol_exempt = "<why>"`` marker; every ``repro.baselines``
+  variant module either contributes a registered clock or declares
+  ``PROTOCOL_EXEMPT = "<why>"``.
 
 All six are :class:`~repro.analysis.rulebase.ProjectRule` instances: the
 registry itself is discovered statically, from ``register_core(...)``
@@ -870,9 +869,6 @@ class RegistrationCompleteness(ProjectRule):
             for core in contract.cores
             if core.clock_cls is not None
         }
-        registered_names = {
-            core.name for core in contract.cores if core.name is not None
-        }
 
         def class_exempt(cls: ClassInfo) -> bool:
             value = _inherited_class_assign(project, cls, "protocol_exempt")
@@ -901,36 +897,6 @@ class RegistrationCompleteness(ProjectRule):
                 "rules know it is not a bootable protocol",
             )
 
-        # _CLOCKS boot table: every name make_bus accepts must resolve.
-        info = project.modules.get("repro.mom.config")
-        if info is not None:
-            ctx = contexts.get("repro.mom.config")
-            for key_node, value_node in self._clock_table(info.tree):
-                if not (
-                    isinstance(key_node, ast.Constant)
-                    and isinstance(key_node.value, str)
-                ):
-                    continue
-                name = key_node.value
-                if name in registered_names:
-                    continue
-                cls = (
-                    project.class_named(value_node.id)
-                    if isinstance(value_node, ast.Name)
-                    else None
-                )
-                if cls is not None and class_exempt(cls):
-                    continue
-                if ctx is not None:
-                    yield ctx.diagnostic(
-                        self.rule_id,
-                        key_node,
-                        f"make_bus can boot clock algorithm '{name}', but "
-                        "no registered core claims that name and its clock "
-                        "is not protocol_exempt; every bootable variant "
-                        "must go through the registry",
-                    )
-
         # baselines variant modules declare their registry relationship
         for module in sorted(project.modules):
             if not module.startswith("repro.baselines."):
@@ -955,28 +921,6 @@ class RegistrationCompleteness(ProjectRule):
                 "\"<why>\"; every protocol variant must state its "
                 "relationship to the core registry",
             )
-
-    @staticmethod
-    def _clock_table(
-        tree: ast.AST,
-    ) -> Iterator[Tuple[ast.expr, ast.expr]]:
-        for stmt in getattr(tree, "body", []):
-            targets: List[ast.expr] = []
-            if isinstance(stmt, ast.Assign):
-                targets = list(stmt.targets)
-            elif isinstance(stmt, ast.AnnAssign) and stmt.value is not None:
-                targets = [stmt.target]
-            value = getattr(stmt, "value", None)
-            if not isinstance(value, ast.Dict):
-                continue
-            if not any(
-                isinstance(target, ast.Name) and target.id == "_CLOCKS"
-                for target in targets
-            ):
-                continue
-            for key, entry in zip(value.keys, value.values):
-                if key is not None:
-                    yield key, entry
 
 
 CONTRACT_RULES: Tuple[ProjectRule, ...] = (

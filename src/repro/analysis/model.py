@@ -1,5 +1,5 @@
 """Small-scope protocol model checker: the dynamic half of the core
-admission gate.
+admission gate, and the repository's one interleaving explorer.
 
 The contract rules (R018–R023) prove *structural* properties of a
 :class:`~repro.protocol.core.CausalCore` — isolation, conformance, guard
@@ -7,16 +7,26 @@ purity, picklability. This module checks the *behavioural* property they
 cannot: that the core's ``stamp``/``deliverable``/``duplicate``/``merge``
 quadruple actually implements causal delivery.
 
-It exhaustively explores every interleaving of sends and arrivals for a
-small scope (n ≤ 3 servers, m ≤ 4 messages — the "small scope
-hypothesis": protocol bugs that exist at all show up in tiny
-configurations), holding back undeliverable messages exactly like the
-channel does, and checks two properties in every reachable state:
+It explores every distinct reachable state of a small world, holding
+back undeliverable messages exactly like the channel does, with one of
+two move generators:
 
-- **causal delivery** — against an independent vector-clock oracle: when
-  the core admits message ``x`` at its destination, every message ``y``
-  to the same destination whose send happened-before ``x``'s send must
-  already be delivered there;
+- **free sends** (:func:`check_core`, the admission gate): any server
+  may send to any other until m messages are out, at n ≤ 3 servers and
+  m ≤ 4 messages (the "small scope hypothesis": protocol bugs that exist
+  at all show up in tiny configurations). The first violation wins.
+- **scripted scenarios** (:func:`check_scenario`): initial
+  :class:`Send` records plus a ``react(receiver, tag)`` rule fired on
+  each delivery. Every arrival order is explored to the end, and the result
+  counts the distinct terminal delivery orders the core admits.
+
+Either way it checks two properties:
+
+- **causal delivery** — judged by
+  :class:`~repro.causality.order.DeliveryOracle`, fed every send and
+  delivery: a delivery that leaves a causal predecessor addressed to the
+  same server undelivered is a ``causal-violation``, and the run comes
+  back as a :class:`~repro.causality.trace.Trace` witness;
 - **no hold-back leak** — in every terminal state (all messages sent and
   arrived) the hold-back stores are empty and every message was
   delivered exactly once. A merge that forgets causal knowledge (the
@@ -46,7 +56,21 @@ import copy
 from array import array
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import (
+    Callable,
+    Dict,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
+
+from repro.causality.message import Message
+from repro.causality.order import DeliveryOracle
+from repro.causality.trace import Trace
+from repro.errors import ConfigurationError
 
 # ----------------------------------------------------------------------
 # Static admission scan for file-loaded candidate cores
@@ -188,14 +212,12 @@ def _freeze(obj) -> object:
     if isinstance(obj, array):
         return ("array", obj.typecode, tuple(obj))
     if isinstance(obj, dict):
-        return tuple(
-            sorted(
-                ((_freeze(k), _freeze(v)) for k, v in obj.items()),
-                key=repr,
-            )
-        )
+        return _sorted((_freeze(k), _freeze(v)) for k, v in obj.items())
     if isinstance(obj, (set, frozenset)):
-        return tuple(sorted((_freeze(item) for item in obj), key=repr))
+        return _sorted(_freeze(item) for item in obj)
+    params = getattr(obj, "__dataclass_params__", None)
+    if params is not None and params.frozen:
+        return obj  # immutable, compared and hashed by value
     if hasattr(obj, "__dict__") and vars(obj):
         return (type(obj).__name__, _freeze(vars(obj)))
     slots = getattr(type(obj), "__slots__", None)
@@ -211,75 +233,121 @@ def _freeze(obj) -> object:
         return repr(obj)
 
 
+def _sorted(items) -> Tuple:
+    """Frozen items in a canonical order, by ``repr`` only where they do
+    not compare with each other."""
+    ordered = list(items)
+    try:
+        ordered.sort()
+    except TypeError:
+        ordered.sort(key=repr)
+    return tuple(ordered)
+
+
 # ----------------------------------------------------------------------
 # The explored world
 # ----------------------------------------------------------------------
 
 
-class _Msg:
-    """One in-model message: protocol stamp plus oracle metadata."""
+@dataclass(frozen=True)
+class Send:
+    """A scripted send: ``src`` sends ``tag`` to ``dst``."""
 
-    def __init__(
-        self, mid: int, sender: int, dest: int, stamp, vc: Tuple[int, ...]
-    ) -> None:
-        self.mid = mid
-        self.sender = sender
-        self.dest = dest
-        self.stamp = stamp
-        self.vc = vc
+    src: int
+    dst: int
+    tag: str
+
+
+@dataclass(eq=False)
+class _Msg:
+    """One in-model message: the protocol stamp plus what the witness
+    trace records."""
+
+    mid: int
+    sender: int
+    dest: int
+    stamp: object
+    tag: str
 
     def label(self) -> str:
         return f"m{self.mid}(s{self.sender}->s{self.dest})"
 
 
-class PropertyViolation(Exception):
-    def __init__(self, kind: str, detail: str) -> None:
-        super().__init__(detail)
-        self.kind = kind
-        self.detail = detail
-
-
 class _World:
-    """One reachable protocol state: clocks, oracle VCs, message books."""
+    """One reachable protocol state: clocks, the oracle, message books."""
 
-    def __init__(self, core, servers: int) -> None:
+    def __init__(self, core, servers: int, react=None) -> None:
         self.core = core
-        self.servers = servers
+        self.react = react
         self.clocks = [core.create_clock(servers, i) for i in range(servers)]
-        self.vcs = [[0] * servers for _ in range(servers)]
+        # servers interned up front: first-seen interning would give equal
+        # states different vectors
+        self.oracle = DeliveryOracle(range(servers))
+        self.msgs: List[_Msg] = []  # indexed by mid
         self.flight: List[_Msg] = []
         self.holdback: List[List[_Msg]] = [[] for _ in range(servers)]
         self.delivered: List[List[int]] = [[] for _ in range(servers)]
-        self.msgs: Dict[int, _Msg] = {}
-        self.sent = 0
+        self.log: List[Tuple[bool, int]] = []  # (is send, mid)
+        # the first causal violation on this path: detail, overtaken mids
+        self.violation: Optional[Tuple[str, List[int]]] = None
 
     def clone(self) -> "_World":
-        # one deepcopy call for the whole world, so object sharing
-        # between a clock and its in-flight stamps is preserved
-        return copy.deepcopy(self)
+        other = copy.copy(self)
+        # the clocks and the stamps still to arrive go through one
+        # deepcopy, so object sharing between them survives; delivered
+        # messages are never read again and stay shared
+        live = self.flight + [m for held in self.holdback for m in held]
+        other.clocks, copies = copy.deepcopy((self.clocks, live))
+        other.msgs = list(self.msgs)
+        for msg in copies:
+            other.msgs[msg.mid] = msg
+        other.flight = [other.msgs[m.mid] for m in self.flight]
+        other.holdback = [
+            [other.msgs[m.mid] for m in held] for held in self.holdback
+        ]
+        other.delivered = [list(d) for d in self.delivered]
+        other.log = list(self.log)
+        other.oracle = self.oracle.copy()
+        return other
 
     def freeze(self) -> object:
         return (
             _freeze(self.clocks),
-            _freeze(self.vcs),
+            self.oracle.vectors(),
             tuple(sorted((m.mid, _freeze(m.stamp)) for m in self.flight)),
             tuple(
                 tuple((m.mid, _freeze(m.stamp)) for m in held)
                 for held in self.holdback
             ),
             tuple(tuple(d) for d in self.delivered),
-            self.sent,
+            len(self.msgs),
+        )
+
+    def orders(self) -> Tuple[Tuple[Tuple[int, str], ...], ...]:
+        """Every server's delivery order as ``(sender, tag)`` pairs: mids
+        follow send order, which differs between interleavings of the
+        same deliveries."""
+        return tuple(
+            tuple((self.msgs[mid].sender, self.msgs[mid].tag) for mid in d)
+            for d in self.delivered
         )
 
     # -- transitions ----------------------------------------------------
 
-    def send(self, sender: int, dest: int) -> str:
+    def moves(self, budget: int) -> List[Tuple[str, int, int]]:
+        """Free sends while fewer than ``budget`` messages are out, then
+        the arrival of any in-flight message."""
+        servers = range(len(self.clocks)) if len(self.msgs) < budget else ()
+        moves = [("send", a, b) for a in servers for b in servers if a != b]
+        return moves + [("arrive", i, -1) for i in range(len(self.flight))]
+
+    def send(self, sender: int, dest: int, tag: str = "") -> str:
         stamp = self.core.stamp(self.clocks[sender], dest)
-        self.vcs[sender][sender] += 1
-        msg = _Msg(self.sent, sender, dest, stamp, tuple(self.vcs[sender]))
-        self.msgs[msg.mid] = msg
+        msg = _Msg(len(self.msgs), sender, dest, stamp, tag)
+        self.oracle.send(msg.mid, sender, dest)
+        self.msgs.append(msg)
         self.flight.append(msg)
-        self.sent += 1
+        self.log.append((True, msg.mid))
         return f"send {msg.label()}"
 
     def arrive(self, index: int) -> str:
@@ -296,76 +364,76 @@ class _World:
         self.holdback[dest].append(msg)
         return f"arrive {msg.label()}: held back"
 
-    # -- delivery + oracle ----------------------------------------------
+    # -- delivery, judged by the oracle ---------------------------------
 
     def _deliver(self, msg: _Msg) -> None:
         dest = msg.dest
-        for other in self.msgs.values():
-            if (
-                other.mid != msg.mid
-                and other.dest == dest
-                and other.mid not in self.delivered[dest]
-                and _strictly_before(other.vc, msg.vc)
-            ):
-                raise PropertyViolation(
-                    "causal-violation",
-                    f"{msg.label()} delivered at s{dest} before its causal "
-                    f"predecessor {other.label()} "
-                    f"(send VCs {other.vc} < {msg.vc})",
-                )
+        missing = self.oracle.receive(msg.mid)
+        if missing and self.violation is None:
+            self.violation = (
+                f"{msg.label()} delivered at s{dest} before its causal "
+                "predecessor "
+                + ", ".join(self.msgs[mid].label() for mid in missing),
+                missing,
+            )
         self.core.merge(self.clocks[dest], msg.stamp)
-        vc = self.vcs[dest]
-        for i, value in enumerate(msg.vc):
-            if value > vc[i]:
-                vc[i] = value
         self.delivered[dest].append(msg.mid)
+        self.log.append((False, msg.mid))
+        if self.react is not None:
+            for send in self.react(dest, msg.tag):
+                self.send(send.src, send.dst, send.tag)
 
     def _drain(self, dest: int) -> int:
         """Release held-back messages the fresh clock now admits, in
         arrival order, to fixpoint — the channel's release loop."""
-        clock = self.clocks[dest]
+        clock, held = self.clocks[dest], self.holdback[dest]
         released = 0
-        progress = True
-        while progress:
-            progress = False
-            for held in list(self.holdback[dest]):
-                if self.core.duplicate(clock, held.stamp):
-                    self.holdback[dest].remove(held)
-                    progress = True
+        while True:
+            for msg in held:
+                duplicate = self.core.duplicate(clock, msg.stamp)
+                if duplicate or self.core.deliverable(clock, msg.stamp):
+                    held.remove(msg)
+                    if not duplicate:
+                        self._deliver(msg)
+                        released += 1
                     break
-                if self.core.deliverable(clock, held.stamp):
-                    self.holdback[dest].remove(held)
-                    self._deliver(held)
-                    released += 1
-                    progress = True
-                    break
-        return released
+            else:
+                return released
 
-    # -- terminal-state audit -------------------------------------------
+    # -- verdicts -------------------------------------------------------
 
-    def audit_terminal(self) -> None:
-        held = sum(len(h) for h in self.holdback)
-        if held:
-            stuck = ", ".join(
-                m.label() for h in self.holdback for m in h
-            )
-            raise PropertyViolation(
+    def audit_terminal(self) -> Optional[Tuple[str, str]]:
+        stuck = [m.label() for held in self.holdback for m in held]
+        if stuck:
+            return (
                 "holdback-leak",
-                f"terminal state with {held} message(s) wedged in "
-                f"hold-back: {stuck}; the merge failed to unlock their "
-                "deliverability",
+                f"terminal state with {len(stuck)} message(s) wedged in "
+                f"hold-back: {', '.join(stuck)}; the merge failed to "
+                "unlock their deliverability",
             )
         delivered = sum(len(d) for d in self.delivered)
-        if delivered != self.sent:
-            raise PropertyViolation(
+        if delivered != len(self.msgs):
+            return (
                 "lost-message",
-                f"terminal state delivered {delivered} of {self.sent} "
+                f"terminal state delivered {delivered} of {len(self.msgs)} "
                 "messages; the duplicate test dropped a live message",
             )
+        return None
 
-
-def _strictly_before(a: Sequence[int], b: Sequence[int]) -> bool:
-    return all(x <= y for x, y in zip(a, b)) and tuple(a) != tuple(b)
+    def witness(self) -> Trace:
+        """The run so far as a causality trace. The predecessors a causal
+        violation overtook are appended as delivered last, so the order
+        the oracle judged stays in the trace whatever the core does with
+        them next."""
+        messages = [Message(m.mid, m.sender, m.dest, m.tag) for m in self.msgs]
+        trace = Trace()
+        for is_send, mid in self.log:
+            record = trace.record_send if is_send else trace.record_receive
+            record(messages[mid])
+        for mid in self.violation[1] if self.violation else ():
+            if mid not in self.delivered[messages[mid].dst]:
+                trace.record_receive(messages[mid])
+        return trace
 
 
 # ----------------------------------------------------------------------
@@ -388,18 +456,16 @@ class ModelResult:
     states: int
     detail: str = ""
     trace: List[str] = field(default_factory=list)
+    # distinct terminal delivery orders reached: complete only for
+    # scripted scenarios, which do not stop at the first violation
+    orders: int = 0
+    leaks: int = 0  # terminal states that failed the audit, likewise
+    witness: Optional[Trace] = None  # the failing run, as a causality trace
 
     def to_dict(self) -> Dict[str, object]:
-        return {
-            "core": self.core,
-            "ok": self.ok,
-            "kind": self.kind,
-            "servers": self.servers,
-            "messages": self.messages,
-            "states": self.states,
-            "detail": self.detail,
-            "trace": list(self.trace),
-        }
+        fields = dict(vars(self), trace=list(self.trace))
+        del fields["witness"]  # a Trace object, not JSON
+        return fields
 
     def format(self) -> str:
         head = (
@@ -422,73 +488,85 @@ def clamp_scope(servers: int, messages: int) -> Tuple[int, int]:
     return min(servers, MAX_SERVERS), min(messages, MAX_MESSAGES)
 
 
-def check_core(core, servers: int = 3, messages: int = 3) -> ModelResult:
-    """Explore every interleaving of ``messages`` sends and their
-    arrivals across ``servers`` servers; first violation wins."""
-    servers, messages = clamp_scope(servers, messages)
-    root = _World(core, servers)
+def _explore(
+    core,
+    root: _World,
+    budget: int,
+    exhaust: bool,
+    max_states: Optional[int] = None,
+) -> ModelResult:
+    """Depth-first search over distinct frozen states from ``root``.
+    Without ``exhaust`` the first violation ends the search."""
+    servers = len(root.clocks)
+    result = ModelResult(core.name, True, "admitted", servers, budget, 0)
     seen: Set[object] = set()
+    orders: Set[object] = set()
     stack: List[Tuple[_World, List[str]]] = [(root, [])]
-    states = 0
+
+    def reject(kind: str, detail: str, trace: List[str], world: _World):
+        result.ok, result.kind, result.detail = False, kind, detail
+        result.trace, result.witness = trace, world.witness()
+
     while stack:
         world, trace = stack.pop()
         key = world.freeze()
         if key in seen:
             continue
         seen.add(key)
-        states += 1
-        moves: List[Tuple[str, int, int]] = []
-        if world.sent < messages:
-            for sender in range(servers):
-                for dest in range(servers):
-                    if sender != dest:
-                        moves.append(("send", sender, dest))
-        for index in range(len(world.flight)):
-            moves.append(("arrive", index, -1))
+        result.states += 1
+        if max_states is not None and result.states > max_states:
+            raise ConfigurationError(
+                f"state space exceeds {max_states} states; shrink the scenario"
+            )
+        result.messages = max(result.messages, len(world.msgs))
+        moves = world.moves(budget)
         if not moves:
-            try:
-                world.audit_terminal()
-            except PropertyViolation as violation:
-                return ModelResult(
-                    core=core.name,
-                    ok=False,
-                    kind=violation.kind,
-                    servers=servers,
-                    messages=messages,
-                    states=states,
-                    detail=violation.detail,
-                    trace=trace,
-                )
-            continue
+            orders.add(world.orders())
+            result.orders = len(orders)
+            audit = world.audit_terminal()
+            result.leaks += audit is not None
+            if audit is not None and result.ok:
+                reject(*audit, trace, world)
+                if not exhaust:
+                    return result
         for kind, a, b in moves:
             child = world.clone()
-            label = (
-                f"send s{a}->s{b}"
-                if kind == "send"
-                else f"arrive {world.flight[a].label()}"
-            )
-            try:
-                step = child.send(a, b) if kind == "send" else child.arrive(a)
-            except PropertyViolation as violation:
-                return ModelResult(
-                    core=core.name,
-                    ok=False,
-                    kind=violation.kind,
-                    servers=servers,
-                    messages=messages,
-                    states=states,
-                    detail=violation.detail,
-                    trace=trace + [label],
-                )
+            step = child.send(a, b) if kind == "send" else child.arrive(a)
+            if child.violation is not None and result.ok:
+                detail = child.violation[0]
+                reject("causal-violation", detail, trace + [step], child)
+                if not exhaust:
+                    return result
             stack.append((child, trace + [step]))
-    return ModelResult(
-        core=core.name,
-        ok=True,
-        kind="admitted",
-        servers=servers,
-        messages=messages,
-        states=states,
-    )
+    return result
+
+
+def check_core(core, servers: int = 3, messages: int = 3) -> ModelResult:
+    """Explore every interleaving of ``messages`` free sends and their
+    arrivals across ``servers`` servers; the first violation wins."""
+    servers, messages = clamp_scope(servers, messages)
+    return _explore(core, _World(core, servers), messages, exhaust=False)
+
+
+def check_scenario(
+    core,
+    servers: int,
+    sends: Sequence[Send],
+    react: Optional[Callable[[int, str], List[Send]]] = None,
+    max_states: int = 200_000,
+) -> ModelResult:
+    """Explore every arrival order of a scripted workload to the end.
+
+    ``sends`` happen up front, in order; ``react(receiver, tag)`` fires
+    on each delivery and its sends happen at once at the receiver. The
+    result counts the distinct terminal delivery orders the core admits
+    and carries the first violation found. Raises
+    :class:`~repro.errors.ConfigurationError` past ``max_states``.
+    """
+    root = _World(core, servers, react)
+    for send in sends:
+        root.send(send.src, send.dst, send.tag)
+    return _explore(core, root, 0, exhaust=True, max_states=max_states)
 
 
 def check_named(

@@ -25,9 +25,10 @@ The solutions the paper positions itself against fall in two families:
 
 - **locality-restricted clocks** — the FM-class reduction of
   Meldal–Sankar–Vera [19], pushed to per-pair FIFO counters in
-  :mod:`repro.baselines.local_fifo`; the exhaustive checker proves §2's
-  verdict that it "does not ensure the global causal delivery of
-  messages". It can also be booted into the MOM itself
+  :mod:`repro.baselines.local_fifo`; the model checker
+  (:mod:`repro.analysis.model`) proves §2's verdict that it "does not
+  ensure the global causal delivery of messages". It is the registered
+  ``fifo`` core, so it also boots into the MOM itself
   (``clock_algorithm="fifo"``) for end-to-end demonstrations.
 
 ``benchmarks/test_baseline_broadcast.py`` puts the families side by side.

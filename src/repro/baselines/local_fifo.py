@@ -9,12 +9,12 @@ the global causal delivery of messages": transitive dependencies through
 relays are invisible.
 
 :class:`FifoClock` implements exactly that degenerate clock behind the
-standard :class:`~repro.clocks.base.CausalClock` interface, so the
-exhaustive model checker (:mod:`repro.causality.exhaustive`) can *prove*
-the §2 claim on this implementation: the triangle-relay scenario admits
-executions that violate causal delivery (see
-``tests/test_local_fifo_baseline.py``), while per-pair FIFO itself always
-holds. The stamp is a single integer — maximal wire savings, bought with
+standard :class:`~repro.clocks.base.CausalClock` interface, registered as
+the ``fifo`` core, so the model checker (:mod:`repro.analysis.model`) can
+*prove* the §2 claim on this implementation: ``model fifo`` and the
+triangle-relay scenario both come back as a causal violation with a
+witness trace (see ``tests/test_model_checker.py``), while per-pair FIFO
+itself always holds. The stamp is a single integer — maximal wire savings, bought with
 the loss of the very property this library is about.
 """
 

@@ -51,7 +51,6 @@ from repro.causality.counterexample import (
 )
 from repro.causality.diagram import render_space_time, render_timeline
 from repro.causality.export import dump_trace, load_trace
-from repro.causality.exhaustive import Send, ExplorationResult, explore
 from repro.causality.dot import trace_to_dot
 
 __all__ = [
@@ -80,8 +79,5 @@ __all__ = [
     "render_timeline",
     "dump_trace",
     "load_trace",
-    "Send",
-    "ExplorationResult",
-    "explore",
     "trace_to_dot",
 ]

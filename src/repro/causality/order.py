@@ -14,17 +14,19 @@ process receives messages in an order that agrees with ``≺``.
 :class:`DeliveryOracle` decides the delivery predicate incrementally with
 sparse vector clocks that count *sends*: ``m ≺ m'`` iff ``m ≠ m'`` and
 ``index(m) ≤ sendVC(m')[src(m)]``, where ``index(m)`` is ``m``'s position
-among ``src(m)``'s sends. It has two drivers and no second implementation:
-:class:`CausalOrder` sweeps a recorded trace through it offline, the
-sanitizer's ``OrderChecker`` feeds it online from the bus hooks. The
-explicit message graph survives only behind :meth:`CausalOrder.precedes`,
-built lazily for the graphviz export and the tests that ask pairwise.
+among ``src(m)``'s sends. It has three drivers and no second
+implementation: :class:`CausalOrder` sweeps a recorded trace through it
+offline, the sanitizer's ``OrderChecker`` feeds it online from the bus
+hooks, and the model checker (:mod:`repro.analysis.model`) feeds it in
+every explored state. The explicit message graph survives only behind
+:meth:`CausalOrder.precedes`, built lazily for the graphviz export and
+the tests that ask pairwise.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict, deque
-from typing import Deque, Dict, Hashable, List, Optional, Set, Tuple
+from typing import Deque, Dict, Hashable, Iterable, List, Optional, Set, Tuple
 
 from repro.causality.message import Message
 from repro.causality.trace import EventKind, Trace
@@ -39,7 +41,7 @@ class DeliveryOracle:
     entries in the message's send vector plus the violations reported.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, processes: Iterable[Hashable] = ()) -> None:
         # processes are interned to dense ints: a user-defined id (AgentId
         # hashes in Python) is hashed once per event, not once per entry
         self._ids: Dict[Hashable, int] = {}
@@ -51,6 +53,8 @@ class DeliveryOracle:
         self._in_flight: Dict[Hashable, Tuple[Dict[int, int], int, int]] = {}
         # received ahead of an older message that still heads their link
         self._overtook: Set[Hashable] = set()
+        for process in processes:
+            self._id(process)
 
     def _id(self, process: Hashable) -> int:
         pid = self._ids.get(process)
@@ -98,6 +102,29 @@ class DeliveryOracle:
                 if earlier not in overtook:
                     missing.append(earlier)
         return missing
+
+    def copy(self) -> "DeliveryOracle":
+        """An independent oracle in the same state. The send vectors of
+        in-flight messages are never mutated, so the copy shares them."""
+        other = DeliveryOracle()
+        other._ids = dict(self._ids)
+        other._clocks = [dict(clock) for clock in self._clocks]
+        other._inbound = [
+            defaultdict(deque, {p: deque(link) for p, link in links.items()})
+            for links in self._inbound
+        ]
+        other._in_flight = dict(self._in_flight)
+        other._overtook = set(self._overtook)
+        return other
+
+    def vectors(self) -> Tuple[Tuple[int, ...], ...]:
+        """Every process's vector, dense in interning order: a hashable
+        snapshot that is canonical when the processes were interned up
+        front (the constructor's ``processes``) rather than first-seen."""
+        width = range(len(self._clocks))
+        return tuple(
+            tuple(clock.get(p, 0) for p in width) for clock in self._clocks
+        )
 
 
 class CausalOrder:

@@ -13,38 +13,11 @@ from dataclasses import dataclass, field
 from typing import Optional, Type
 
 from repro.clocks.base import CausalClock
-from repro.clocks.matrix import MatrixClock
-from repro.clocks.updates import UpdatesClock
 from repro.errors import ConfigurationError
-from repro.protocol import AdHocCore, CausalCore, core_names, get_core, has_core
+from repro.protocol import CausalCore, core_names, get_core, has_core
 from repro.simulation.costs import CostModel
 from repro.simulation.network import ConstantLatency, LatencyModel
 from repro.topology.domains import Topology
-
-def _fifo_clock() -> Type[CausalClock]:
-    # imported lazily: baselines depend on clocks, not the reverse
-    from repro.baselines.local_fifo import FifoClock
-
-    return FifoClock
-
-
-# Legacy clock table, kept as a *mutable extension point*: a test (or an
-# experiment script) can drop a bare CausalClock subclass in here and boot
-# it without writing a CausalCore — `core` wraps it in an AdHocCore. The
-# registered cores in repro.protocol.cores are the first-class path and
-# win whenever the table entry matches the registered clock class.
-_CLOCKS: "dict[str, Optional[Type[CausalClock]]]" = {
-    "matrix": MatrixClock,
-    "updates": UpdatesClock,
-    # deliberately broken baseline (per-pair FIFO only, §2): boots, runs,
-    # and loses global causal order — for demonstrations and negative tests
-    "fifo": None,  # resolved lazily in clock_cls
-}
-
-
-def _algorithm_names() -> "list[str]":
-    return sorted(set(_CLOCKS) | set(core_names()))
-
 
 @dataclass
 class BusConfig:
@@ -54,8 +27,11 @@ class BusConfig:
     """The domain decomposition (see :mod:`repro.topology.builders`)."""
 
     clock_algorithm: str = "matrix"
-    """``"matrix"`` (full-matrix stamps, §3's classical algorithm) or
-    ``"updates"`` (Appendix A delta stamps)."""
+    """The name of a registered core (:mod:`repro.protocol.cores`):
+    ``"matrix"`` (full-matrix stamps, §3's classical algorithm),
+    ``"updates"`` (Appendix A delta stamps), ``"histories"`` (causal
+    histories with pruning) or ``"fifo"`` (per-pair FIFO only, the
+    deliberately non-causal §2 baseline)."""
 
     cost_model: CostModel = field(default_factory=CostModel)
     """Simulated-time constants (see :mod:`repro.simulation.costs`)."""
@@ -124,12 +100,10 @@ class BusConfig:
     topology has domains."""
 
     def __post_init__(self):
-        if self.clock_algorithm not in _CLOCKS and not has_core(
-            self.clock_algorithm
-        ):
+        if not has_core(self.clock_algorithm):
             raise ConfigurationError(
                 f"unknown clock algorithm {self.clock_algorithm!r}; "
-                f"choose one of {_algorithm_names()}"
+                f"choose one of {core_names()}"
             )
         if not 0.0 <= self.loss_rate < 1.0:
             raise ConfigurationError(
@@ -146,23 +120,9 @@ class BusConfig:
 
     @property
     def core(self) -> CausalCore:
-        """The :class:`~repro.protocol.core.CausalCore` selected by
-        :attr:`clock_algorithm`.
-
-        Resolution order: a ``_CLOCKS`` entry that *differs* from the
-        registered core's clock class is an explicit override and wins
-        (wrapped in an :class:`~repro.protocol.core.AdHocCore`);
-        otherwise the registered core is used directly.
-        """
-        name = self.clock_algorithm
-        if name in _CLOCKS:
-            cls = _CLOCKS[name]
-            if cls is None:
-                cls = _fifo_clock()
-            if has_core(name) and get_core(name).clock_cls is cls:
-                return get_core(name)
-            return AdHocCore(name, cls)
-        return get_core(name)
+        """The registered :class:`~repro.protocol.core.CausalCore` named
+        by :attr:`clock_algorithm`."""
+        return get_core(self.clock_algorithm)
 
     @property
     def clock_cls(self) -> Type[CausalClock]:

@@ -5,7 +5,7 @@ histories, fifo); see :mod:`repro.protocol.core` for the contract and
 :mod:`repro.analysis.contract` for the rules that statically verify it.
 """
 
-from repro.protocol.core import AdHocCore, CausalCore, DelegatingCore
+from repro.protocol.core import CausalCore, DelegatingCore
 from repro.protocol.registry import (
     core_names,
     get_core,
@@ -16,7 +16,6 @@ from repro.protocol.registry import (
 from repro.protocol import cores as _cores  # noqa: F401  (registers built-ins)
 
 __all__ = [
-    "AdHocCore",
     "CausalCore",
     "DelegatingCore",
     "core_names",

@@ -179,25 +179,3 @@ class DelegatingCore(CausalCore):
     def merge(self, clock: CausalClock, stamp: Stamp) -> None:
         clock.deliver(stamp)
 
-
-class AdHocCore(DelegatingCore):
-    """Adapter for clock classes plugged in through the legacy
-    ``repro.mom.config._CLOCKS`` table without a registered core (the
-    extension point a few tests use). Boots and runs; has no wire codec.
-    """
-
-    def __init__(self, name: str, clock_cls: Type[CausalClock]) -> None:
-        self.name = name
-        self.clock_cls = clock_cls
-
-    def encode_stamp(self, stamp: Stamp) -> Tuple:
-        raise ProtocolError(
-            f"ad-hoc core {self.name!r} has no wire codec; register a "
-            "CausalCore to serialize stamps"
-        )
-
-    def decode_stamp(self, payload: Tuple) -> Stamp:
-        raise ProtocolError(
-            f"ad-hoc core {self.name!r} has no wire codec; register a "
-            "CausalCore to deserialize stamps"
-        )

@@ -7,25 +7,25 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.analysis.model import Send, check_scenario
 from repro.analysis.sanitizer import OrderChecker, SanitizerViolation
-from repro.baselines.local_fifo import FifoClock
 from repro.causality import (
     CausalOrder,
     Membership,
     Message,
-    Send,
     Trace,
     build_violation_trace,
     check_all_domains,
     check_trace,
-    explore,
     find_cycle_path,
 )
+from repro.causality.order import DeliveryOracle
 from repro.causality.trace import EventKind
 from repro.errors import TraceError
 from repro.mom import BusConfig, EchoAgent, FunctionAgent, MessageBus
 from repro.mom.payloads import Notification
 from repro.mom.workloads import PingPongDriver
+from repro.protocol import get_core
 from repro.topology import bus as bus_topology
 from repro.topology.builders import from_domain_map
 
@@ -322,15 +322,15 @@ class TestOracleAgainstPairwiseReference:
 
     def test_fifo_core_triangle_relay(self):
         """Per-pair FIFO admits the p→q direct vs p→r→q relay race."""
-        result = explore(
-            size=3,
-            initial_sends=[Send(0, 2, "n"), Send(0, 1, "m1")],
-            react=lambda receiver, tag: (
+        result = check_scenario(
+            get_core("fifo"),
+            3,
+            [Send(0, 2, "n"), Send(0, 1, "m1")],
+            lambda receiver, tag: (
                 [Send(1, 2, "m2")] if (receiver, tag) == (1, "m1") else []
             ),
-            clock_cls=FifoClock,
         )
-        assert result.violations >= 1
+        assert result.kind == "causal-violation"
         violations, correct = swept(result.witness)
         assert (violations, correct) == pairwise_reference(result.witness)
         assert correct and len(violations) == 1
@@ -439,6 +439,18 @@ class TestOnlineEqualsOffline:
             assert online == offline
             raised += offline
         assert 50 <= raised <= 250, raised
+
+    def test_copied_oracle_evolves_independently(self):
+        """The model checker forks one oracle per explored state."""
+        oracle = DeliveryOracle(["p", "q", "r"])
+        oracle.send(1, "p", "r")
+        oracle.send(2, "p", "q")
+        fork = oracle.copy()
+        assert fork.receive(2) == []
+        fork.send(3, "q", "r")
+        assert fork.receive(3) == [1]
+        assert oracle.vectors() == ((2, 0, 0), (0, 0, 0), (0, 0, 0))
+        assert oracle.receive(1) == []
 
     @pytest.mark.parametrize("cyclic", [False, True])
     def test_recorded_mom_run(self, cyclic):

@@ -1,13 +1,15 @@
 """The small-scope protocol model checker (the dynamic admission gate).
 
 Covers: admission of all shipping causal cores, rejection of the
-non-causal FIFO baseline with a causal-violation counterexample,
-rejection of a seeded merge bug (the ``droprow`` fixture) with a
-hold-back-leak counterexample, the static admission scan for file-loaded
-candidates, and the CLI exit-code contract (0 admitted / 1 violation /
-2 usage or scan error).
+non-causal FIFO baseline and the ``notransitive`` fixture with a
+causal-violation witness, rejection of a seeded merge bug (the
+``droprow`` fixture) with a hold-back-leak counterexample, the scripted
+scenario table (scenario × core), the static admission scan for
+file-loaded candidates, the ``--changed`` trigger set, and the CLI
+exit-code contract (0 admitted / 1 violation / 2 usage or scan error).
 """
 
+import functools
 import json
 import subprocess
 import sys
@@ -15,19 +17,124 @@ from pathlib import Path
 
 import pytest
 
+from repro.analysis.__main__ import _model_relevant
 from repro.analysis.model import (
     ScanError,
+    Send,
     check_core,
     check_named,
+    check_scenario,
     checkable_cores,
     clamp_scope,
     load_candidate,
     scan_candidate,
 )
-from repro.errors import ProtocolError
+from repro.causality import check_trace
+from repro.errors import ConfigurationError, ProtocolError
+from repro.protocol import get_core
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
-DROPROW = REPO_ROOT / "tests" / "model_fixtures" / "droprow.py"
+FIXTURES = REPO_ROOT / "tests" / "model_fixtures"
+DROPROW = FIXTURES / "droprow.py"
+NOTRANSITIVE = FIXTURES / "notransitive.py"
+
+
+def relay_react(receiver, tag):
+    """The triangle relay: 0 -> 2 direct races 0 -> 1 -> 2."""
+    return [Send(1, 2, "m2")] if (receiver, tag) == (1, "m1") else []
+
+
+def diamond_react(receiver, tag):
+    """0 fans out to 1 and 2; each relays to 3."""
+    if tag == "fan" and receiver in (1, 2):
+        return [Send(receiver, 3, f"relay{receiver}")]
+    return []
+
+
+def pingpong_react(receiver, tag):
+    """0 <-> 2 ping-pong with a side relay through 1."""
+    if receiver == 2 and tag == "ping":
+        return [Send(2, 0, "pong")]
+    if receiver == 1 and tag == "via":
+        return [Send(1, 2, "relayed")]
+    return []
+
+
+def crossing_react(receiver, tag):
+    """Two relays crossing in opposite directions through the middle."""
+    if receiver == 1 and tag == "east":
+        return [Send(1, 2, "east2")]
+    if receiver == 1 and tag == "west":
+        return [Send(1, 0, "west2")]
+    return []
+
+
+def chatter_react(receiver, tag):
+    """A 4-server storm: fan-out, reply, and a second-generation relay."""
+    if tag == "seed" and receiver in (1, 2):
+        return [
+            Send(receiver, 3, f"gen1-{receiver}"),
+            Send(receiver, 0, "ack"),
+        ]
+    if tag == "gen1-1" and receiver == 3:
+        return [Send(3, 0, "closing")]
+    return []
+
+
+# scenario: (servers, initial sends, react rule, distinct terminal
+# delivery orders admitted by an exact core, and by the per-pair FIFO
+# core). A delivery order is every server's sequence of (sender, tag);
+# where the fifo count is larger, the extra orders are causal violations.
+SCENARIOS = {
+    # a-then-b or b-then-a at server 2
+    "concurrent": (3, [Send(0, 2, "a"), Send(1, 2, "b")], None, 2, 2),
+    "fifo-pair": (2, [Send(0, 1, "first"), Send(0, 1, "second")], None, 1, 1),
+    # the burst is totally ordered; only x floats: 5 positions
+    "burst": (
+        3,
+        [Send(0, 2, str(i)) for i in range(4)] + [Send(1, 2, "x")],
+        None,
+        5,
+        5,
+    ),
+    "relay": (3, [Send(0, 2, "n"), Send(0, 1, "m1")], relay_react, 1, 2),
+    # Counted as whole-run interleavings this was "> 10"; as delivery
+    # orders only server 3's two relays float after the direct message.
+    # fifo adds the four orders where a relay beats it.
+    "diamond": (
+        4,
+        [Send(0, 3, "direct"), Send(0, 1, "fan"), Send(0, 2, "fan")],
+        diamond_react,
+        2,
+        6,
+    ),
+    # ping precedes relayed at 2; fifo lets relayed go first
+    "pingpong": (
+        3, [Send(0, 2, "ping"), Send(0, 1, "via")], pingpong_react, 1, 2
+    ),
+    # east/west in either order at 1; each far end gets one message
+    "crossing": (
+        3, [Send(0, 1, "east"), Send(2, 1, "west")], crossing_react, 2, 2
+    ),
+    # direct is sent after the seeds, so nothing at 3 or 0 is ordered:
+    # 3! orders at server 3 times 3! at server 0
+    "chatter": (
+        4,
+        [Send(0, 1, "seed"), Send(0, 2, "seed"), Send(0, 3, "direct")],
+        chatter_react,
+        36,
+        36,
+    ),
+    # without relays per-pair FIFO is enough: c floats around a, b
+    "no-relay": (
+        3,
+        [Send(0, 2, "a"), Send(0, 2, "b"), Send(1, 2, "c")],
+        None,
+        3,
+        3,
+    ),
+}
+EXACT_CORES = ("matrix", "updates", "histories")
 
 
 class TestAdmission:
@@ -81,6 +188,13 @@ class TestRejection:
         formatted = result.format()
         assert "CAUSAL-VIOLATION" in formatted
         assert "counterexample interleaving:" in formatted
+        assert not check_trace(result.witness).respects_causality
+
+    def test_notransitive_fixture_violates_causal_delivery(self):
+        result = check_core(load_candidate(NOTRANSITIVE))
+        assert result.kind == "causal-violation"
+        assert "causal predecessor" in result.detail
+        assert not check_trace(result.witness).respects_causality
 
     def test_seeded_merge_bug_wedges_holdback(self):
         core = load_candidate(DROPROW)
@@ -97,6 +211,101 @@ class TestRejection:
         assert lines[0].startswith("core 'droprow': HOLDBACK-LEAK")
         steps = [l for l in lines if l.strip()[0:1].isdigit()]
         assert len(steps) == len(result.trace)
+
+
+@functools.lru_cache(maxsize=None)
+def run_scenario(scenario, core):
+    """One scripted run per (scenario, core), shared by the tests below;
+    ``core`` is a registered name or a fixture path."""
+    servers, sends, react = SCENARIOS[scenario][:3]
+    loaded = load_candidate(core) if isinstance(core, Path) else get_core(core)
+    return check_scenario(loaded, servers, sends, react)
+
+
+RELAYING = [name for name, row in SCENARIOS.items() if row[4] > row[3]]
+
+
+class TestScenarios:
+    @pytest.mark.parametrize("core", EXACT_CORES + ("fifo",))
+    @pytest.mark.parametrize("scenario", list(SCENARIOS))
+    def test_scenario(self, scenario, core):
+        exact, fifo_only = SCENARIOS[scenario][3:]
+        result = run_scenario(scenario, core)
+        if core in EXACT_CORES or fifo_only == exact:
+            assert result.ok, result.format()
+            assert result.orders == exact
+            assert result.witness is None
+            return
+        # the extra orders per-pair FIFO admits break causal delivery
+        assert result.kind == "causal-violation"
+        assert result.orders == fifo_only > exact
+        assert not check_trace(result.witness).respects_causality
+
+    @pytest.mark.parametrize("core", ["updates", "histories"])
+    @pytest.mark.parametrize("scenario", list(SCENARIOS))
+    def test_exact_core_matches_matrix(self, scenario, core):
+        # every exact core characterizes ≺, so they admit the same orders
+        matrix = run_scenario(scenario, "matrix")
+        assert run_scenario(scenario, core).orders == matrix.orders
+
+    @pytest.mark.parametrize("scenario", RELAYING)
+    def test_fifo_admits_more_orders_than_matrix(self, scenario):
+        matrix = run_scenario(scenario, "matrix")
+        assert run_scenario(scenario, "fifo").orders > matrix.orders
+
+    def test_fifo_relay_never_wedges_hold_back(self):
+        assert run_scenario("relay", "fifo").leaks == 0
+
+    def test_notransitive_fixture_loses_the_relay_race(self):
+        result = run_scenario("relay", NOTRANSITIVE)
+        assert result.kind == "causal-violation"
+        assert result.orders == SCENARIOS["relay"][4]
+
+    def test_notransitive_relay_witness_is_a_real_violation(self):
+        witness = run_scenario("relay", NOTRANSITIVE).witness
+        assert not check_trace(witness).respects_causality
+
+    def test_droprow_wedges_a_scripted_fifo_pair(self):
+        result = run_scenario("fifo-pair", DROPROW)
+        assert result.kind == "holdback-leak"
+        assert result.leaks > 0
+
+    def test_explosion_guard(self):
+        sends = [Send(i % 4, 4, str(i)) for i in range(16)]
+        with pytest.raises(ConfigurationError, match="state space"):
+            check_scenario(get_core("matrix"), 5, sends, max_states=50)
+
+
+class TestChangedGate:
+    """``model --changed`` runs when a change can move a verdict."""
+
+    ROOT = Path("/work/mom/checkout")
+
+    @pytest.mark.parametrize(
+        "name",
+        [
+            "src/repro/baselines/causal_histories.py",
+            "src/repro/baselines/local_fifo.py",
+            "src/repro/clocks/matrix.py",
+            "src/repro/clocks/base.py",
+            "src/repro/protocol/registry.py",
+            "src/repro/analysis/model.py",
+            "src/repro/causality/order.py",
+        ],
+    )
+    def test_triggers(self, name):
+        assert _model_relevant({self.ROOT / name}, self.ROOT)
+
+    @pytest.mark.parametrize(
+        "name",
+        ["README.py", "src/repro/obs/trace.py", "src/repro/mom/channel.py"],
+    )
+    def test_non_triggers_under_a_checkout_named_mom(self, name):
+        assert not _model_relevant({self.ROOT / name}, self.ROOT)
+
+    def test_paths_outside_the_checkout_never_trigger(self):
+        elsewhere = Path("/elsewhere/src/repro/clocks/matrix.py")
+        assert not _model_relevant({elsewhere}, self.ROOT)
 
 
 class TestAdmissionScan:

@@ -9,14 +9,11 @@ import pickle
 
 import pytest
 
-from repro.baselines.causal_histories import HistoryClock
 from repro.baselines.local_fifo import FifoClock
 from repro.clocks.matrix import MatrixClock
 from repro.errors import ConfigurationError, ProtocolError
 from repro.mom import BusConfig
-from repro.mom import config as mom_config
 from repro.protocol import (
-    AdHocCore,
     CausalCore,
     core_names,
     get_core,
@@ -188,25 +185,6 @@ class TestResize:
             core.resize(clock, 4)
 
 
-class TestAdHocCore:
-    def test_delegates_to_the_wrapped_clock(self):
-        core = AdHocCore("history-adhoc", HistoryClock)
-        sender = core.create_clock(2, 0)
-        receiver = core.create_clock(2, 1)
-        stamp = core.stamp(sender, 1)
-        assert core.deliverable(receiver, stamp)
-        core.merge(receiver, stamp)
-        assert core.duplicate(receiver, stamp)
-
-    def test_has_no_wire_codec(self):
-        core = AdHocCore("history-adhoc", HistoryClock)
-        stamp = core.stamp(core.create_clock(2, 0), 1)
-        with pytest.raises(ProtocolError, match="no wire codec"):
-            core.encode_stamp(stamp)
-        with pytest.raises(ProtocolError, match="no wire codec"):
-            core.decode_stamp((0, 1, 1))
-
-
 class TestBusConfigResolution:
     def test_registered_core_is_used_directly(self):
         config = BusConfig(topology=single_domain(2))
@@ -217,27 +195,9 @@ class TestBusConfigResolution:
         config = BusConfig(
             topology=single_domain(2), clock_algorithm="histories"
         )
-        assert "histories" not in mom_config._CLOCKS
         assert config.core is get_core("histories")
 
     def test_unknown_algorithm_rejected_at_construction(self):
-        with pytest.raises(ConfigurationError, match="unknown clock"):
+        with pytest.raises(ConfigurationError, match="unknown clock") as info:
             BusConfig(topology=single_domain(2), clock_algorithm="nosuch")
-
-    def test_clocks_table_override_wraps_in_adhoc_core(self):
-        mom_config._CLOCKS["override-demo"] = HistoryClock
-        try:
-            config = BusConfig(
-                topology=single_domain(2), clock_algorithm="override-demo"
-            )
-            core = config.core
-            assert isinstance(core, AdHocCore)
-            assert core.clock_cls is HistoryClock
-        finally:
-            del mom_config._CLOCKS["override-demo"]
-
-    def test_matching_clocks_entry_prefers_the_registered_core(self):
-        # "matrix" sits in _CLOCKS *and* the registry with the same clock
-        # class: the first-class core must win over the ad-hoc wrapper.
-        config = BusConfig(topology=single_domain(2))
-        assert not isinstance(config.core, AdHocCore)
+        assert str(sorted(ALL_CORE_NAMES)) in str(info.value)
