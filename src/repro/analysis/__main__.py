@@ -125,18 +125,27 @@ def _cmd_rules(args: argparse.Namespace) -> int:
 
 #: Repo-relative paths whose changes retrigger the model-checker
 #: admission gate besides the registered cores' own modules: the core
-#: boundary, the checker and its oracle.
+#: boundary, the checker and its oracle, and the channel, topology,
+#: routing and persistence code the checker executes for real.
 _MODEL_TRIGGER_DIR = "src/repro/protocol/"
 _MODEL_TRIGGER_FILES = (
     "src/repro/analysis/model.py",
     "src/repro/causality/order.py",
+    "src/repro/mom/channel.py",
+    "src/repro/mom/domain_item.py",
+    "src/repro/mom/payloads.py",
+    "src/repro/mom/persistence.py",
+    "src/repro/topology/builders.py",
+    "src/repro/topology/domains.py",
+    "src/repro/topology/routing.py",
 )
 
 
 def _model_triggers() -> Set[str]:
     """Repo-relative source files that can move a model-checker verdict:
     the module of every registered core class, clock class and stamp
-    class (their ``repro`` bases included), plus the checker itself."""
+    class (their ``repro`` bases included), plus the checker and the
+    protocol code it runs."""
     from repro.protocol import registered_cores
 
     files = set(_MODEL_TRIGGER_FILES)
@@ -183,8 +192,8 @@ def _cmd_model(args: argparse.Namespace) -> int:
         if not _model_relevant(changed, root):
             print(
                 "model: no changes to a registered core's modules, "
-                "protocol/, the checker or its oracle — admission gate "
-                "skipped",
+                "protocol/, the checker, its oracle or the channel it "
+                "drives — admission gate skipped",
                 file=sys.stderr,
             )
             return 0
@@ -348,8 +357,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         "--changed",
         action="store_true",
         help="run only when git-changed files touch a registered core's "
-        "modules, protocol/, the checker or its oracle; otherwise exit 0 "
-        "immediately",
+        "modules, protocol/, the checker, its oracle or the channel it "
+        "drives; otherwise exit 0 immediately",
     )
     model_parser.add_argument(
         "--json", action="store_true", help="emit results as JSON"

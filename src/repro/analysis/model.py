@@ -5,16 +5,24 @@ The contract rules (R018–R023) prove *structural* properties of a
 :class:`~repro.protocol.core.CausalCore` — isolation, conformance, guard
 purity, picklability. This module checks the *behavioural* property they
 cannot: that the core's ``stamp``/``deliverable``/``duplicate``/``merge``
-quadruple actually implements causal delivery.
+quadruple, run inside the real protocol, actually implements causal
+delivery.
 
-It explores every distinct reachable state of a small world, holding
-back undeliverable messages exactly like the channel does, with one of
-two move generators:
+It explores every distinct reachable state of a small world: one real
+:class:`~repro.mom.channel.Channel` per server of a
+:class:`~repro.topology.domains.Topology`, routed by the real routing
+tables, over a host that runs processor and engine tasks FIFO after every
+move and hands ACKs back at once (no loss, no crash). The channel decides
+hold-back, release, commit and forwarding, the core deliverability and
+merge; the checker only picks the next move, with one of two move
+generators:
 
 - **free sends** (:func:`check_core`, the admission gate): any server
-  may send to any other until m messages are out, at n ≤ 3 servers and
-  m ≤ 4 messages (the "small scope hypothesis": protocol bugs that exist
-  at all show up in tiny configurations). The first violation wins.
+  may send to any other until m messages are out, at n ≤ 3 servers in one
+  domain and m ≤ 4 messages (the "small scope hypothesis": protocol bugs
+  that exist at all show up in tiny configurations);
+  :func:`check_topology` does the same over any topology. The first
+  violation wins.
 - **scripted scenarios** (:func:`check_scenario`): initial
   :class:`Send` records plus a ``react(receiver, tag)`` rule fired on
   each delivery. Every arrival order is explored to the end, and the result
@@ -54,10 +62,14 @@ from __future__ import annotations
 import ast
 import copy
 from array import array
+from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import (
+    TYPE_CHECKING,
+    Any,
     Callable,
+    Deque,
     Dict,
     Iterator,
     List,
@@ -65,12 +77,25 @@ from typing import (
     Sequence,
     Set,
     Tuple,
+    cast,
 )
 
 from repro.causality.message import Message
 from repro.causality.order import DeliveryOracle
 from repro.causality.trace import Trace
 from repro.errors import ConfigurationError
+from repro.mom.channel import Channel
+from repro.mom.identifiers import AgentId
+from repro.mom.payloads import ChannelAck, Envelope, Notification
+from repro.mom.persistence import PersistentStore
+from repro.protocol import CausalCore, get_core, registered_cores
+from repro.simulation.costs import CostModel
+from repro.topology.builders import single_domain
+from repro.topology.domains import Topology
+from repro.topology.routing import RoutingTable, build_routing_tables
+
+if TYPE_CHECKING:
+    from repro.mom.server import AgentServer
 
 # ----------------------------------------------------------------------
 # Static admission scan for file-loaded candidate cores
@@ -155,7 +180,7 @@ def scan_candidate(source: str, origin: str) -> ast.Module:
     return tree
 
 
-def load_candidate(path: Path):
+def load_candidate(path: Path) -> CausalCore:
     """Scan, import and return the candidate core declared in ``path``.
 
     The module either binds a ``CORE`` attribute to a
@@ -165,8 +190,6 @@ def load_candidate(path: Path):
     """
     import importlib.util
     import inspect
-
-    from repro.protocol.core import CausalCore
 
     source = path.read_text(encoding="utf-8")
     scan_candidate(source, str(path))
@@ -258,67 +281,123 @@ class Send:
     tag: str
 
 
-@dataclass(eq=False)
-class _Msg:
-    """One in-model message: the protocol stamp plus what the witness
-    trace records."""
+def _label(msg: Message) -> str:
+    return f"m{msg.mid}(s{msg.src}->s{msg.dst})"
 
-    mid: int
-    sender: int
-    dest: int
-    stamp: object
-    tag: str
 
-    def label(self) -> str:
-        return f"m{self.mid}(s{self.sender}->s{self.dest})"
+def _ignore(*args: Any) -> None:
+    """A collaborator call the explored world has no use for."""
+
+
+class _Host:
+    """Everything a real :class:`~repro.mom.channel.Channel` reaches
+    through its ``server``, for one server of the explored world. The host
+    plays every role itself: ``processor.submit`` and ``engine.enqueue``
+    queue on the world's FIFO task queue, run after every move;
+    ``transport.send`` puts envelopes in flight and hands ACKs over at
+    once; ``sim.schedule_local`` (the ACK timer) is dropped, since nothing
+    is lost in this scope; the metrics registry and its counters count
+    nothing; ``store`` is a real :class:`PersistentStore`."""
+
+    acct = None
+    epoch = 0
+    channel_ack_timeout_ms = 0.0
+    cost_model = CostModel()
+    add = schedule_local = record_hop_send = _ignore
+
+    def __init__(
+        self, world: "_World", server: int, routing: RoutingTable
+    ) -> None:
+        self.world, self.server_id, self.routing = world, server, routing
+        self.core, self.topology = world.core, world.topology
+        self.domains = world.topology.domains_of(server)
+        self.store = PersistentStore(server)
+        self.bus = self.sim = self.config = self.metrics = self
+        self.processor = self.transport = self.engine = self
+        self.channel = Channel(cast("AgentServer", self))
+
+    def counter(self, name: str) -> "_Host":
+        return self
+
+    def submit(self, cost: float, fn: Callable[..., None], *args: Any) -> None:
+        self.world.tasks.append((fn, args))
+
+    def enqueue(self, notification: Notification) -> None:
+        reaction = (self.server_id, notification)
+        self.world.tasks.append((self.world.react_to, reaction))
+
+    def send(self, dst: int, packet: Any, cells: int = 0) -> None:
+        if isinstance(packet, ChannelAck):
+            self.world.hosts[dst].channel.on_packet(self.server_id, packet)
+        else:
+            self.world.flight.append(packet)
+
+    def record_hop_receive(self, envelope: Envelope) -> None:
+        self.world.held.pop(envelope.hop_mid(), None)
+        self.world.commits.append(envelope.hop_mid())
 
 
 class _World:
-    """One reachable protocol state: clocks, the oracle, message books."""
+    """One reachable state: a real channel per server of ``topology``,
+    the oracle, and the books the verdicts read."""
 
-    def __init__(self, core, servers: int, react=None) -> None:
-        self.core = core
-        self.react = react
-        self.clocks = [core.create_clock(servers, i) for i in range(servers)]
+    def __init__(
+        self, core: CausalCore, topology: Topology, react: Any = None
+    ) -> None:
+        self.core, self.topology, self.react = core, topology, react
+        tables = build_routing_tables(topology)
+        self.tasks: Deque[Tuple[Callable[..., None], Tuple]] = deque()
+        self.hosts = [_Host(self, s, tables[s]) for s in topology.servers]
+        # never copied by a clone: stateless, or a cache any clone may fill
+        shared = (core, topology, *topology.domains, *tables.values(), react)
+        self.shared = {id(obj): obj for obj in shared}
         # servers interned up front: first-seen interning would give equal
         # states different vectors
-        self.oracle = DeliveryOracle(range(servers))
-        self.msgs: List[_Msg] = []  # indexed by mid
-        self.flight: List[_Msg] = []
-        self.holdback: List[List[_Msg]] = [[] for _ in range(servers)]
-        self.delivered: List[List[int]] = [[] for _ in range(servers)]
+        self.oracle = DeliveryOracle(topology.servers)
+        self.msgs: List[Message] = []  # application messages, by mid
+        self.flight: List[Envelope] = []
+        self.held: Dict[Tuple, Envelope] = {}  # by hop id, in arrival order
+        self.commits: List[Tuple] = []  # hop ids committed by this move
+        self.delivered: List[List[int]] = [[] for _ in topology.servers]
         self.log: List[Tuple[bool, int]] = []  # (is send, mid)
         # the first causal violation on this path: detail, overtaken mids
         self.violation: Optional[Tuple[str, List[int]]] = None
 
     def clone(self) -> "_World":
         other = copy.copy(self)
-        # the clocks and the stamps still to arrive go through one
-        # deepcopy, so object sharing between them survives; delivered
-        # messages are never read again and stay shared
-        live = self.flight + [m for held in self.holdback for m in held]
-        other.clocks, copies = copy.deepcopy((self.clocks, live))
+        memo = {**self.shared, id(self): other}
+        other.hosts, other.flight, other.held = copy.deepcopy(
+            (self.hosts, self.flight, self.held), memo
+        )
+        other.tasks = deque()
         other.msgs = list(self.msgs)
-        for msg in copies:
-            other.msgs[msg.mid] = msg
-        other.flight = [other.msgs[m.mid] for m in self.flight]
-        other.holdback = [
-            [other.msgs[m.mid] for m in held] for held in self.holdback
-        ]
         other.delivered = [list(d) for d in self.delivered]
         other.log = list(self.log)
         other.oracle = self.oracle.copy()
         return other
 
     def freeze(self) -> object:
+        """The state key: every clock and every in-flight or held stamp
+        frozen whole, so no bookkeeping a merge may read is folded."""
+
+        def hop(e: Envelope) -> Tuple:
+            stamp = _freeze(e.stamp)
+            return (e.src_server, e.hop_seq, e.notification.nid, stamp)
+
+        channels = [h.channel for h in self.hosts]
+        clocks = [[i.clock for i in c.domain_items.values()] for c in channels]
+        # one hold-back store per (server, domain), each in arrival order
+        # (a stable sort keeps it); how arrivals at different stores
+        # interleaved does not matter
+        held = sorted(
+            self.held.values(), key=lambda e: (e.dst_server, e.domain_id)
+        )
         return (
-            _freeze(self.clocks),
+            _freeze(clocks),
+            tuple(c.hop_seq for c in channels),
             self.oracle.vectors(),
-            tuple(sorted((m.mid, _freeze(m.stamp)) for m in self.flight)),
-            tuple(
-                tuple((m.mid, _freeze(m.stamp)) for m in held)
-                for held in self.holdback
-            ),
+            tuple(sorted(map(hop, self.flight))),
+            tuple(map(hop, held)),
             tuple(tuple(d) for d in self.delivered),
             len(self.msgs),
         )
@@ -328,7 +407,7 @@ class _World:
         follow send order, which differs between interleavings of the
         same deliveries."""
         return tuple(
-            tuple((self.msgs[mid].sender, self.msgs[mid].tag) for mid in d)
+            tuple((self.msgs[mid].src, self.msgs[mid].payload) for mid in d)
             for d in self.delivered
         )
 
@@ -336,74 +415,75 @@ class _World:
 
     def moves(self, budget: int) -> List[Tuple[str, int, int]]:
         """Free sends while fewer than ``budget`` messages are out, then
-        the arrival of any in-flight message."""
-        servers = range(len(self.clocks)) if len(self.msgs) < budget else ()
+        the arrival of any in-flight envelope."""
+        servers = self.topology.servers if len(self.msgs) < budget else ()
         moves = [("send", a, b) for a in servers for b in servers if a != b]
         return moves + [("arrive", i, -1) for i in range(len(self.flight))]
 
-    def send(self, sender: int, dest: int, tag: str = "") -> str:
-        stamp = self.core.stamp(self.clocks[sender], dest)
-        msg = _Msg(len(self.msgs), sender, dest, stamp, tag)
+    def move(self, kind: str, a: int, b: int) -> str:
+        self.commits = []
+        if kind == "send":
+            step = f"send {_label(self.send(a, b))}"
+            self.settle()
+            return step
+        envelope = self.flight.pop(a)
+        msg = self.msgs[envelope.notification.nid]
+        label = _label(msg)
+        if (envelope.src_server, envelope.dst_server) != (msg.src, msg.dst):
+            label += f" hop s{envelope.src_server}->s{envelope.dst_server}"
+        channel = self.hosts[envelope.dst_server].channel
+        depth = channel.holdback_depth(envelope.domain_id)
+        channel.on_packet(envelope.src_server, envelope)
+        if channel.holdback_depth(envelope.domain_id) > depth:
+            self.held[envelope.hop_mid()] = envelope
+            return f"arrive {label}: held back"
+        self.settle()
+        if envelope.hop_mid() not in self.commits:
+            return f"arrive {label}: dropped as duplicate"
+        done = "delivered" if msg.dst == envelope.dst_server else "forwarded"
+        released = len(self.commits) - 1
+        note = f" (released {released} held)" if released else ""
+        return f"arrive {label}: {done}{note}"
+
+    def send(self, sender: int, dest: int, tag: str = "") -> Message:
+        """An application send: the oracle records it, the sender's
+        channel stamps it for the first hop."""
+        msg = Message(len(self.msgs), sender, dest, tag)
         self.oracle.send(msg.mid, sender, dest)
         self.msgs.append(msg)
-        self.flight.append(msg)
         self.log.append((True, msg.mid))
-        return f"send {msg.label()}"
+        agents = AgentId(sender, 0), AgentId(dest, 0)
+        note = Notification(msg.mid, *agents, tag, 0.0)
+        self.hosts[sender].channel.post(note)
+        return msg
 
-    def arrive(self, index: int) -> str:
-        msg = self.flight.pop(index)
-        dest = msg.dest
-        clock = self.clocks[dest]
-        if self.core.duplicate(clock, msg.stamp):
-            return f"arrive {msg.label()}: dropped as duplicate"
-        if self.core.deliverable(clock, msg.stamp):
-            self._deliver(msg)
-            drained = self._drain(dest)
-            note = f" (released {drained} held)" if drained else ""
-            return f"arrive {msg.label()}: delivered{note}"
-        self.holdback[dest].append(msg)
-        return f"arrive {msg.label()}: held back"
+    def settle(self) -> None:
+        while self.tasks:
+            fn, args = self.tasks.popleft()
+            fn(*args)
 
-    # -- delivery, judged by the oracle ---------------------------------
-
-    def _deliver(self, msg: _Msg) -> None:
-        dest = msg.dest
+    def react_to(self, server: int, notification: Notification) -> None:
+        """The engine's reaction: the delivery, judged by the oracle, then
+        the scenario's reply sends."""
+        msg = self.msgs[notification.nid]
         missing = self.oracle.receive(msg.mid)
         if missing and self.violation is None:
             self.violation = (
-                f"{msg.label()} delivered at s{dest} before its causal "
+                f"{_label(msg)} delivered at s{server} before its causal "
                 "predecessor "
-                + ", ".join(self.msgs[mid].label() for mid in missing),
+                + ", ".join(_label(self.msgs[mid]) for mid in missing),
                 missing,
             )
-        self.core.merge(self.clocks[dest], msg.stamp)
-        self.delivered[dest].append(msg.mid)
+        self.delivered[server].append(msg.mid)
         self.log.append((False, msg.mid))
-        if self.react is not None:
-            for send in self.react(dest, msg.tag):
-                self.send(send.src, send.dst, send.tag)
-
-    def _drain(self, dest: int) -> int:
-        """Release held-back messages the fresh clock now admits, in
-        arrival order, to fixpoint — the channel's release loop."""
-        clock, held = self.clocks[dest], self.holdback[dest]
-        released = 0
-        while True:
-            for msg in held:
-                duplicate = self.core.duplicate(clock, msg.stamp)
-                if duplicate or self.core.deliverable(clock, msg.stamp):
-                    held.remove(msg)
-                    if not duplicate:
-                        self._deliver(msg)
-                        released += 1
-                    break
-            else:
-                return released
+        for send in self.react(server, msg.payload) if self.react else ():
+            self.send(send.src, send.dst, send.tag)
 
     # -- verdicts -------------------------------------------------------
 
     def audit_terminal(self) -> Optional[Tuple[str, str]]:
-        stuck = [m.label() for held in self.holdback for m in held]
+        held = self.held.values()
+        stuck = [_label(self.msgs[e.notification.nid]) for e in held]
         if stuck:
             return (
                 "holdback-leak",
@@ -425,14 +505,13 @@ class _World:
         violation overtook are appended as delivered last, so the order
         the oracle judged stays in the trace whatever the core does with
         them next."""
-        messages = [Message(m.mid, m.sender, m.dest, m.tag) for m in self.msgs]
         trace = Trace()
         for is_send, mid in self.log:
             record = trace.record_send if is_send else trace.record_receive
-            record(messages[mid])
+            record(self.msgs[mid])
         for mid in self.violation[1] if self.violation else ():
-            if mid not in self.delivered[messages[mid].dst]:
-                trace.record_receive(messages[mid])
+            if mid not in self.delivered[self.msgs[mid].dst]:
+                trace.record_receive(self.msgs[mid])
         return trace
 
 
@@ -489,7 +568,6 @@ def clamp_scope(servers: int, messages: int) -> Tuple[int, int]:
 
 
 def _explore(
-    core,
     root: _World,
     budget: int,
     exhaust: bool,
@@ -497,8 +575,8 @@ def _explore(
 ) -> ModelResult:
     """Depth-first search over distinct frozen states from ``root``.
     Without ``exhaust`` the first violation ends the search."""
-    servers = len(root.clocks)
-    result = ModelResult(core.name, True, "admitted", servers, budget, 0)
+    servers = root.topology.server_count
+    result = ModelResult(root.core.name, True, "admitted", servers, budget, 0)
     seen: Set[object] = set()
     orders: Set[object] = set()
     stack: List[Tuple[_World, List[str]]] = [(root, [])]
@@ -529,9 +607,10 @@ def _explore(
                 reject(*audit, trace, world)
                 if not exhaust:
                     return result
-        for kind, a, b in moves:
-            child = world.clone()
-            step = child.send(a, b) if kind == "send" else child.arrive(a)
+        for index, (kind, a, b) in enumerate(moves):
+            # the last move may take the world itself: nothing reads it again
+            child = world if index == len(moves) - 1 else world.clone()
+            step = child.move(kind, a, b)
             if child.violation is not None and result.ok:
                 detail = child.violation[0]
                 reject("causal-violation", detail, trace + [step], child)
@@ -541,16 +620,27 @@ def _explore(
     return result
 
 
-def check_core(core, servers: int = 3, messages: int = 3) -> ModelResult:
+def check_core(
+    core: CausalCore, servers: int = 3, messages: int = 3
+) -> ModelResult:
     """Explore every interleaving of ``messages`` free sends and their
-    arrivals across ``servers`` servers; the first violation wins."""
+    arrivals across ``servers`` servers in one domain; the first
+    violation wins."""
     servers, messages = clamp_scope(servers, messages)
-    return _explore(core, _World(core, servers), messages, exhaust=False)
+    return check_topology(core, single_domain(servers), messages)
+
+
+def check_topology(
+    core: CausalCore, topology: Topology, messages: int = 3
+) -> ModelResult:
+    """Free sends between any two servers of ``topology``, forwarded by
+    its causal routers; the first violation wins. No scope cap."""
+    return _explore(_World(core, topology), messages, exhaust=False)
 
 
 def check_scenario(
-    core,
-    servers: int,
+    core: CausalCore,
+    topology: Topology,
     sends: Sequence[Send],
     react: Optional[Callable[[int, str], List[Send]]] = None,
     max_states: int = 200_000,
@@ -563,26 +653,21 @@ def check_scenario(
     and carries the first violation found. Raises
     :class:`~repro.errors.ConfigurationError` past ``max_states``.
     """
-    root = _World(core, servers, react)
+    root = _World(core, topology, react)
     for send in sends:
         root.send(send.src, send.dst, send.tag)
-    return _explore(core, root, 0, exhaust=True, max_states=max_states)
+    root.settle()
+    return _explore(root, 0, exhaust=True, max_states=max_states)
 
 
 def check_named(
     name: str, servers: int = 3, messages: int = 3
 ) -> ModelResult:
-    import repro.protocol.cores  # noqa: F401  (registration side effect)
-    from repro.protocol.registry import get_core
-
     return check_core(get_core(name), servers=servers, messages=messages)
 
 
 def checkable_cores() -> Iterator[Tuple[str, bool]]:
-    """(name, causal) for every registered core, import side effects
-    included (the built-ins register on package import)."""
-    import repro.protocol.cores  # noqa: F401  (registration side effect)
-    from repro.protocol.registry import registered_cores
-
+    """(name, causal) for every registered core (the built-ins register
+    on import of :mod:`repro.protocol`)."""
     for core in registered_cores():
         yield core.name, core.causal

@@ -64,6 +64,7 @@ class TraceDump:
             "dropped": tracer.ring.dropped,
             "server_ids": list(tracer.server_ids),
             "domains": {d: list(s) for d, s in tracer.domains.items()},
+            "clock": tracer.bus.config.clock_algorithm,
         }
         histograms = {
             name: {

@@ -128,11 +128,11 @@ def capture_state(tracer: "Tracer") -> Dict[str, Any]:
         servers[str(server_id)] = {
             "crashed": server.is_crashed,
             "epoch": server.epoch,
-            "unacked_hop_seqs": sorted(channel._unacked),
+            "unacked_hop_seqs": channel.unacked_hop_seqs(),
             "heldback": {
-                domain_id: store.count
-                for domain_id, store in sorted(channel._holdback.items())
-                if store.count
+                domain_id: channel.holdback_depth(domain_id)
+                for domain_id in sorted(channel.domain_items)
+                if channel.holdback_depth(domain_id)
             },
             "engine_queued": server.engine.queued,
             "processor_busy_ms": server.processor.busy_total,

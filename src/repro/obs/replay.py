@@ -8,27 +8,25 @@ protocol's observable state, and this module replays it: per-server clock
 matrices, hold-back queues, channel in-flight sets (unacked QueueOUT
 entries and pending commits) and delivered prefixes, at any instant ``T``.
 
-The reconstruction is exact, not approximate. A :class:`Replayer` keeps a
-plain integer matrix per ``(server, domain)`` and re-executes the
-matrix-clock protocol itself:
+The reconstruction is exact, not approximate. A :class:`Replayer` runs
+the dump's own causal core — ``get_core(dump.meta["clock"])`` — with one
+real clock per ``(server, domain)``, so every protocol decision is the
+core's, not a copy of it:
 
-- a ``stamp`` event increments ``M[local(src)][local(dst)]`` at the
-  sender and snapshots the sender's matrix as the hop's full-matrix
-  stamp, keyed by ``(src, hop_seq)`` — hop sequence numbers are persisted
+- a ``stamp`` event calls ``core.stamp`` on the sender's clock and keeps
+  the stamp under ``(src, hop_seq)`` — hop sequence numbers are persisted
   and never reused, and retransmissions carry the *original* stamp, so
   the key is stable across the hop's whole lifetime;
-- a ``commit`` event merges that stored stamp into the receiver's matrix
-  cellwise (``M := max(M, W)``), exactly the clock's ``deliver``;
-- an ``arrive`` event runs the Raynal–Schiper–Toueg deliverability test
-  over the replayed matrices to decide whether the live channel started a
-  commit (pending set) or parked the envelope (the subsequent
+- a ``commit`` event calls ``core.merge`` with that stamp on the
+  receiver's clock;
+- an ``arrive`` event asks ``core.deliverable`` whether the live channel
+  started a commit (pending set) or parked the envelope (the subsequent
   ``holdback_enter`` event does the insert).
 
-This integer-matrix model is sound for *both* stamp algorithms: the
-full-matrix clock stamps ``W = M`` after the send increment, and the
-Appendix-A Updates clock's delta stamps omit only cells the receiver
-already dominates (:mod:`repro.clocks.updates`), so the merged values —
-and hence every ``can_deliver`` verdict — are identical.
+Each clock sees the same operations, in the same order, as its live
+twin — a ``recover`` event reloads every clock the live channel has
+persisted, as the channel does — so the matrices read back through
+``clock.cell`` are the live ones for every registered core.
 
 Crash/recovery replay relies on the channel's own persistence invariants:
 clocks and the unacked table are persisted at every mutation and no ACK
@@ -52,12 +50,15 @@ transaction log with a missing prefix cannot be replayed exactly.
 
 from __future__ import annotations
 
+import copy
 import json
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
+from repro.clocks.base import CausalClock, Stamp
 from repro.errors import ConfigurationError
 from repro.obs.events import KINDS, TraceEvent
 from repro.obs.export import TraceDump
+from repro.protocol import get_core, has_core
 
 #: Step-back granularity: a deep state checkpoint every this many applied
 #: events bounds a backward step to one restore + at most this many
@@ -124,6 +125,8 @@ class _ServerState:
         "queue",
         "delivered",
         "clocks",
+        "persisted",
+        "shared",
     )
 
     def __init__(self, domains: List[str]) -> None:
@@ -144,10 +147,18 @@ class _ServerState:
         self.queue: List[int] = []
         #: committed deliveries, in commit order
         self.delivered: List[int] = []
-        #: flat s*s integer matrix per domain
-        self.clocks: Dict[str, List[int]] = {}
+        #: the replayed clock per domain
+        self.clocks: Dict[str, CausalClock] = {}
+        #: domains whose clock the live channel has persisted (at a stamp
+        #: or a commit): recovery reloads exactly these
+        self.persisted: Set[str] = set()
+        #: domains whose clock another state (a checkpoint) also holds
+        self.shared: Set[str] = set()
 
     def copy(self) -> "_ServerState":
+        """A checkpoint copy. Clocks are copy-on-write: both states hold
+        the same clock objects until :meth:`clock` hands one out for a
+        write."""
         dup = _ServerState([])
         dup.crashed = self.crashed
         dup.epoch = self.epoch
@@ -157,8 +168,17 @@ class _ServerState:
         dup.pending = set(self.pending)
         dup.queue = list(self.queue)
         dup.delivered = list(self.delivered)
-        dup.clocks = {d: list(m) for d, m in self.clocks.items()}
+        dup.clocks = dict(self.clocks)
+        dup.persisted = set(self.persisted)
+        self.shared = dup.shared = set(self.clocks)
         return dup
+
+    def clock(self, domain: str) -> CausalClock:
+        """The clock of ``domain``, private to this state, to write to."""
+        if domain in self.shared:
+            self.shared.discard(domain)
+            self.clocks[domain] = copy.deepcopy(self.clocks[domain])
+        return self.clocks[domain]
 
 
 class Replayer:
@@ -178,6 +198,13 @@ class Replayer:
                 "dropped — re-record with a larger REPRO_TRACE_CAPACITY"
             )
         check_dump_complete(dump)
+        clock = dump.meta.get("clock")
+        if not has_core(clock):
+            raise ConfigurationError(
+                f"dump meta 'clock' is {clock!r}, not a registered causal "
+                "core; re-record the dump"
+            )
+        self._core = get_core(clock)
         self._dump = dump
         self._events: List[TraceEvent] = list(dump.events)
         domains: Dict[str, List[int]] = dump.meta.get("domains", {})
@@ -194,17 +221,14 @@ class Replayer:
             d: {s: i for i, s in enumerate(members)}
             for d, members in domains.items()
         }
-        self._sizes: Dict[str, int] = {
-            d: len(members) for d, members in domains.items()
-        }
         self._domains_of: Dict[int, List[str]] = {s: [] for s in server_ids}
         for d, members in domains.items():
             for s in members:
                 if s in self._domains_of:
                     self._domains_of[s].append(d)
-        #: (src, hop_seq) -> (domain, nid, stamp matrix after the send
-        #: increment) — immutable once written, like the envelope's stamp
-        self._stamps: Dict[Tuple[int, int], Tuple[str, int, List[int]]] = {}
+        #: (src, hop_seq) -> (domain, nid, stamp) — immutable once
+        #: written, like the envelope's stamp
+        self._stamps: Dict[Tuple[int, int], Tuple[str, int, Stamp]] = {}
         self._states: Dict[int, _ServerState] = {}
         self._cursor = 0
         self._checkpoints: Dict[int, Dict[int, _ServerState]] = {}
@@ -243,11 +267,11 @@ class Replayer:
         return sum(len(held) for held in state.holdback.values())
 
     def is_deliverable(self, nid: int) -> bool:
-        """Is any hop of ``nid`` currently past (or passing) the RST test?
+        """Is any hop of ``nid`` currently past (or passing) the core's
+        deliverability test?
 
         True when a hop of the message has a commit charged (pending) or
-        sits in a hold-back store whose replayed ``can_deliver`` now
-        admits it.
+        sits in a hold-back store whose replayed clock now admits it.
         """
         for server, state in self._states.items():
             for mid in state.pending:
@@ -272,8 +296,9 @@ class Replayer:
         for server in self._domains_of:
             state = _ServerState(self._domains_of[server])
             for d in self._domains_of[server]:
-                size = self._sizes[d]
-                state.clocks[d] = [0] * (size * size)
+                state.clocks[d] = self._core.create_clock(
+                    len(self._locals[d]), self._local(d, server)
+                )
             self._states[server] = state
         self._stamps = {}
         self._cursor = 0
@@ -288,7 +313,7 @@ class Replayer:
                 "(dump meta and events disagree)"
             ) from None
 
-    def _stamp_of(self, mid: Tuple[int, int]) -> Tuple[str, int, List[int]]:
+    def _stamp_of(self, mid: Tuple[int, int]) -> Tuple[str, int, Stamp]:
         stamp = self._stamps.get(mid)
         if stamp is None:
             raise ConfigurationError(
@@ -298,19 +323,12 @@ class Replayer:
         return stamp
 
     def _can_deliver(self, server: int, mid: Tuple[int, int]) -> bool:
-        """The RST test at ``server`` for the stamp of hop ``mid``, over
-        the replayed matrices (see :meth:`CausalClock.can_deliver`)."""
-        domain, _nid, wire = self._stamp_of(mid)
-        size = self._sizes[domain]
-        matrix = self._states[server].clocks[domain]
-        sender = self._local(domain, mid[0])
-        me = self._local(domain, server)
-        if wire[sender * size + me] != matrix[sender * size + me] + 1:
-            return False
-        for k in range(size):
-            if k != sender and wire[k * size + me] > matrix[k * size + me]:
-                return False
-        return True
+        """The core's deliverability test at ``server`` for the stamp of
+        hop ``mid``, on the replayed clock."""
+        domain, _nid, stamp = self._stamp_of(mid)
+        return self._core.deliverable(
+            self._states[server].clocks[domain], stamp
+        )
 
     def _apply(self, event: TraceEvent) -> None:
         kind = event.kind
@@ -322,14 +340,13 @@ class Replayer:
         if kind == "stamp":
             domain = event.domain
             assert domain is not None, event
-            matrix = state.clocks[domain]
-            size = self._sizes[domain]
-            row = self._local(domain, event.src)
-            col = self._local(domain, event.dst)
-            matrix[row * size + col] += 1
-            self._stamps[(event.src, event.hop_seq)] = (
-                domain, event.nid, list(matrix),
+            stamp = self._core.stamp(
+                state.clock(domain), self._local(domain, event.dst)
             )
+            self._stamps[(event.src, event.hop_seq)] = (
+                domain, event.nid, stamp,
+            )
+            state.persisted.add(domain)
             if event.hop_seq > state.hop_seq:
                 state.hop_seq = event.hop_seq
             state.unacked.add(event.hop_seq)
@@ -350,11 +367,9 @@ class Replayer:
         elif kind == "commit":
             mid = (event.src, event.hop_seq)
             state.pending.discard(mid)
-            domain, _nid, wire = self._stamp_of(mid)
-            matrix = state.clocks[domain]
-            for i, value in enumerate(wire):
-                if value > matrix[i]:
-                    matrix[i] = value
+            domain, _nid, stamp = self._stamp_of(mid)
+            self._core.merge(state.clock(domain), stamp)
+            state.persisted.add(domain)
         elif kind == "enqueue_in":
             state.queue.append(event.nid)
         elif kind == "reaction_commit":
@@ -376,6 +391,11 @@ class Replayer:
             state.pending.clear()
         elif kind == "recover":
             state.crashed = False
+            # the live channel reloads each persisted clock from its
+            # image, which equals the clock (persisted at every mutation)
+            for domain in state.persisted:
+                clock = state.clock(domain)
+                clock.restore(clock.snapshot())
         # post / transmit / retransmit / route_forward / reaction_start
         # move no replayed state
 
@@ -492,7 +512,7 @@ class Replayer:
                 ),
                 "queued": [] if crashed else list(state.queue),
                 "clocks": {
-                    d: self._matrix_rows(d, state.clocks[d])
+                    d: _matrix_rows(state.clocks[d])
                     for d in sorted(state.clocks)
                 },
             }
@@ -516,15 +536,18 @@ class Replayer:
             sort_keys=True,
         )
 
-    def _matrix_rows(self, domain: str, flat: List[int]) -> List[List[int]]:
-        size = self._sizes[domain]
-        return [flat[row * size:(row + 1) * size] for row in range(size)]
-
     def __repr__(self) -> str:
         return (
             f"Replayer(events={len(self._events)}, cursor={self._cursor}, "
             f"t={self.now:.3f}ms)"
         )
+
+
+def _matrix_rows(clock: CausalClock) -> List[List[int]]:
+    size = clock.size
+    return [
+        [clock.cell(row, col) for col in range(size)] for row in range(size)
+    ]
 
 
 # ----------------------------------------------------------------------
@@ -546,8 +569,8 @@ def watch_holdback_exceeds(server: int, depth: int) -> Watchpoint:
 
 def watch_deliverable(nid: int) -> Watchpoint:
     """Trigger when any hop of message ``nid`` becomes deliverable: a
-    commit is charged for it, or a held-back copy now passes the replayed
-    RST test."""
+    commit is charged for it, or a held-back copy now passes the core's
+    test on the replayed clock."""
 
     def predicate(replay: "Replayer", event: TraceEvent) -> bool:
         if event.kind not in (

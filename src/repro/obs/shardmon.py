@@ -81,6 +81,7 @@ def merged_trace_dump(bus: Any) -> TraceDump:
         "domains": {
             d.domain_id: sorted(d.servers) for d in topology.domains
         },
+        "clock": bus.config.clock_algorithm,
     }
     histograms = {
         name: {

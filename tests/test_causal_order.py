@@ -27,7 +27,7 @@ from repro.mom.payloads import Notification
 from repro.mom.workloads import PingPongDriver
 from repro.protocol import get_core
 from repro.topology import bus as bus_topology
-from repro.topology.builders import from_domain_map
+from repro.topology.builders import from_domain_map, single_domain
 
 
 def msg(mid, src, dst):
@@ -324,7 +324,7 @@ class TestOracleAgainstPairwiseReference:
         """Per-pair FIFO admits the p→q direct vs p→r→q relay race."""
         result = check_scenario(
             get_core("fifo"),
-            3,
+            single_domain(3),
             [Send(0, 2, "n"), Send(0, 1, "m1")],
             lambda receiver, tag: (
                 [Send(1, 2, "m2")] if (receiver, tag) == (1, "m1") else []

@@ -676,8 +676,12 @@ class TestCli:
         )
 
     def test_exit_zero_on_clean_tree(self):
-        result = self.run_cli("lint", "src/")
+        # a clean fixture: TestFramework::test_repo_src_is_clean already
+        # lints all of src/ in process
+        clean = FIXTURES / "clocks" / "r001_good.py"
+        result = self.run_cli("lint", str(clean))
         assert result.returncode == 0, result.stdout + result.stderr
+        assert result.stdout == ""
 
     def test_exit_one_with_file_line_diagnostics(self):
         bad = FIXTURES / "mom" / "r001_bad.py"

@@ -3,10 +3,12 @@
 Covers: admission of all shipping causal cores, rejection of the
 non-causal FIFO baseline and the ``notransitive`` fixture with a
 causal-violation witness, rejection of a seeded merge bug (the
-``droprow`` fixture) with a hold-back-leak counterexample, the scripted
-scenario table (scenario × core), the static admission scan for
-file-loaded candidates, the ``--changed`` trigger set, and the CLI
-exit-code contract (0 admitted / 1 violation / 2 usage or scan error).
+``droprow`` fixture) with a hold-back-leak counterexample, Theorem 1 at
+small scope through the real router (an acyclic two-domain topology is
+admitted, the Figure-4(a) ring is not), the scripted scenario table
+(scenario × core), the static admission scan for file-loaded
+candidates, the ``--changed`` trigger set, and the CLI exit-code
+contract (0 admitted / 1 violation / 2 usage or scan error).
 """
 
 import functools
@@ -24,6 +26,7 @@ from repro.analysis.model import (
     check_core,
     check_named,
     check_scenario,
+    check_topology,
     checkable_cores,
     clamp_scope,
     load_candidate,
@@ -32,6 +35,7 @@ from repro.analysis.model import (
 from repro.causality import check_trace
 from repro.errors import ConfigurationError, ProtocolError
 from repro.protocol import get_core
+from repro.topology.builders import from_domain_map, single_domain
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 FIXTURES = REPO_ROOT / "tests" / "model_fixtures"
@@ -213,13 +217,35 @@ class TestRejection:
         assert len(steps) == len(result.trace)
 
 
+class TestTheoremOne:
+    """Both directions of Theorem 1 at small scope: free sends between
+    any two servers, routed hop by hop through the causal router."""
+
+    def test_acyclic_two_domains_admitted(self):
+        topology = from_domain_map({"A": [0, 1, 2], "B": [2, 3]})
+        result = check_topology(get_core("matrix"), topology, messages=2)
+        assert result.ok, result.format()
+        assert (result.servers, result.messages) == (4, 2)
+        assert result.states == 409
+
+    def test_figure_4a_ring_violates_causal_delivery(self):
+        topology = from_domain_map({"A": [0, 1], "B": [1, 2], "C": [2, 0]})
+        result = check_topology(get_core("matrix"), topology, messages=3)
+        assert result.kind == "causal-violation"
+        assert "causal predecessor" in result.detail
+        formatted = result.format()
+        assert "counterexample interleaving:" in formatted
+        assert len(result.trace) == 5
+        assert not check_trace(result.witness).respects_causality
+
+
 @functools.lru_cache(maxsize=None)
 def run_scenario(scenario, core):
     """One scripted run per (scenario, core), shared by the tests below;
     ``core`` is a registered name or a fixture path."""
     servers, sends, react = SCENARIOS[scenario][:3]
     loaded = load_candidate(core) if isinstance(core, Path) else get_core(core)
-    return check_scenario(loaded, servers, sends, react)
+    return check_scenario(loaded, single_domain(servers), sends, react)
 
 
 RELAYING = [name for name, row in SCENARIOS.items() if row[4] > row[3]]
@@ -273,7 +299,9 @@ class TestScenarios:
     def test_explosion_guard(self):
         sends = [Send(i % 4, 4, str(i)) for i in range(16)]
         with pytest.raises(ConfigurationError, match="state space"):
-            check_scenario(get_core("matrix"), 5, sends, max_states=50)
+            check_scenario(
+                get_core("matrix"), single_domain(5), sends, max_states=50
+            )
 
 
 class TestChangedGate:
@@ -291,6 +319,15 @@ class TestChangedGate:
             "src/repro/protocol/registry.py",
             "src/repro/analysis/model.py",
             "src/repro/causality/order.py",
+            # the real protocol the explorer drives
+            "src/repro/mom/channel.py",
+            "src/repro/mom/domain_item.py",
+            "src/repro/mom/payloads.py",
+            "src/repro/mom/persistence.py",
+            "src/repro/topology/routing.py",
+            # ... and the topology it is built from
+            "src/repro/topology/domains.py",
+            "src/repro/topology/builders.py",
         ],
     )
     def test_triggers(self, name):
@@ -298,7 +335,7 @@ class TestChangedGate:
 
     @pytest.mark.parametrize(
         "name",
-        ["README.py", "src/repro/obs/trace.py", "src/repro/mom/channel.py"],
+        ["README.py", "src/repro/obs/trace.py", "src/repro/mom/engine.py"],
     )
     def test_non_triggers_under_a_checkout_named_mom(self, name):
         assert not _model_relevant({self.ROOT / name}, self.ROOT)

@@ -5,6 +5,7 @@ traced run) every live tracer dumps its ring, Chrome trace and per-server
 state to an artifact directory, and the violation message points at it.
 """
 
+import hashlib
 import json
 import os
 
@@ -14,7 +15,7 @@ from repro.analysis.sanitizer import SanitizerViolation
 from repro.mom.agent import EchoAgent
 from repro.mom.bus import MessageBus
 from repro.mom.config import BusConfig
-from repro.mom.workloads import PingPongDriver
+from repro.mom.workloads import OpenLoopDriver, PingPongDriver, SinkAgent
 from repro.obs import flight_recorder
 from repro.obs.export import read_jsonl
 from repro.obs.tracer import attach
@@ -70,6 +71,40 @@ class TestDumpArtifact:
         for entry in servers.values():
             assert entry["crashed"] is False
             assert "clocks" in entry
+
+
+class TestStateBytes:
+    """``state.json`` is read through the channel's public state view;
+    its bytes are pinned on a crash instant with unacked hops, held-back
+    envelopes in two domains and a crashed server."""
+
+    #: sha256 of the artifact's state.json at t=100 ms
+    PINNED = (
+        "ec5322b325a12ab93f7062b3f43818662f17e92d3748238c3df476c734f615b6"
+    )
+
+    def test_crash_instant_state_bytes_are_pinned(
+        self, tmp_path, monkeypatch
+    ):
+        monkeypatch.setenv("REPRO_OBS_DIR", str(tmp_path))
+        mom = MessageBus(BusConfig(topology=bus_topology(12, 4)))
+        for src, dst in [(0, 9), (9, 0), (4, 11)]:
+            sink_id = mom.deploy(SinkAgent(), dst)
+            driver = OpenLoopDriver(period_ms=7.0, count=15)
+            driver.bind(sink_id)
+            mom.deploy(driver, src)
+        mom.schedule_crash(40.0, 3, 300.0)
+        tracer = attach(mom)
+        mom.start()
+        mom.run(until=100.0)
+        path = flight_recorder.dump(tracer, reason="pinned")
+        with open(os.path.join(path, "state.json"), "rb") as stream:
+            data = stream.read()
+        servers = json.loads(data)["servers"]
+        assert servers["3"]["crashed"] is True
+        assert servers["11"]["heldback"] == {"D0": 1, "D3": 2}
+        assert servers["7"]["unacked_hop_seqs"] == [2, 3]
+        assert hashlib.sha256(data).hexdigest() == self.PINNED
 
 
 class TestAutodump:

@@ -6,9 +6,9 @@ produces *byte-identical* canonical JSON to a live bus of the same
 configuration running ``run(until=T)`` and taking
 :meth:`~repro.mom.bus.MessageBus.protocol_snapshot` — clock matrices,
 hold-back queues, in-flight sets and delivered prefixes included. The
-oracle is asserted for several scenario-zoo scenarios on sequential dumps
-*and* on ``REPRO_PARALLEL=2`` merged-parallel dumps
-(:func:`repro.obs.shardmon.merged_trace_dump`).
+oracle is asserted for every scenario-zoo scenario under every registered
+core, on sequential dumps *and* on ``REPRO_PARALLEL=2`` merged-parallel
+dumps (:func:`repro.obs.shardmon.merged_trace_dump`).
 """
 
 import json
@@ -41,12 +41,17 @@ def config_controls_parallel(monkeypatch):
     monkeypatch.delenv("REPRO_PARALLEL", raising=False)
 
 
-def _config(parallel="off"):
+#: every registered core; the replayer drives each dump's own
+CLOCKS = ("matrix", "updates", "histories", "fifo")
+
+
+def _config(parallel="off", clock="matrix"):
     return BusConfig(
         topology=builders.bus(12, 4),
         record_delivered_log=True,
         parallel=parallel,
         workers=2,
+        clock_algorithm=clock,
     )
 
 
@@ -78,10 +83,19 @@ def _crash_failover(bus):
     return bus
 
 
+def _router_crash(bus):
+    """Crash the router the ping-pong crosses, after its clocks were
+    persisted, so recovery reloads them."""
+    _pingpong(bus)
+    bus.schedule_crash(40.0, 3, 300.0)
+    return bus
+
+
 SCENARIOS = {
     "pingpong": _pingpong,
     "churn": _churn,
     "crash_failover": _crash_failover,
+    "router_crash": _router_crash,
 }
 
 #: crash scenarios are not shard-eligible-relevant here — they are, but
@@ -90,16 +104,16 @@ SCENARIOS = {
 MERGED_SCENARIOS = ("pingpong", "churn", "crash_failover")
 
 
-def _sequential_dump(populate):
+def _sequential_dump(populate, clock="matrix"):
     """Record one traced sequential run; returns (dump, end_time)."""
-    bus = populate(MessageBus(_config()))
+    bus = populate(MessageBus(_config(clock=clock)))
     tracer = attach(bus)
     bus.start()
     bus.run_until_idle()
     return TraceDump.from_tracer(tracer), bus.sim.now
 
 
-def _merged_dump(populate, monkeypatch):
+def _merged_dump(populate, monkeypatch, clock):
     """Record one REPRO_PARALLEL=2 sharded run; returns (dump, end)."""
     from repro.obs import install, is_installed, uninstall
 
@@ -108,7 +122,7 @@ def _merged_dump(populate, monkeypatch):
     if installed_here:
         install()
     try:
-        bus = populate(make_bus(_config("auto")))
+        bus = populate(make_bus(_config("auto", clock)))
         assert isinstance(bus, ShardedBus), "scenario must be shard-eligible"
         bus.start()
         bus.run_until_idle()
@@ -132,9 +146,9 @@ def _oracle_points(replay, end):
     return points
 
 
-def _assert_identity(dump, populate, end):
+def _assert_identity(dump, populate, end, clock):
     replay = Replayer(dump)
-    live = populate(MessageBus(_config()))
+    live = populate(MessageBus(_config(clock=clock)))
     live.start()
     for t in _oracle_points(replay, end):
         live_json = json.dumps(live.snapshot_at(t), sort_keys=True)
@@ -144,20 +158,58 @@ def _assert_identity(dump, populate, end):
         )
 
 
-@pytest.mark.parametrize("scenario", sorted(SCENARIOS))
-def test_replay_identity_sequential(scenario):
+def _cases(scenarios):
+    """scenario × core; the matrix case keeps the bare scenario id."""
+    return [
+        pytest.param(
+            scenario,
+            clock,
+            id=scenario if clock == "matrix" else f"{scenario}-{clock}",
+        )
+        for scenario in sorted(scenarios)
+        for clock in CLOCKS
+    ]
+
+
+@pytest.mark.parametrize("scenario, clock", _cases(SCENARIOS))
+def test_replay_identity_sequential(scenario, clock):
     """Byte-equality of replayed and live state on sequential dumps."""
-    dump, end = _sequential_dump(SCENARIOS[scenario])
-    _assert_identity(dump, SCENARIOS[scenario], end)
+    dump, end = _sequential_dump(SCENARIOS[scenario], clock)
+    assert dump.meta["clock"] == clock
+    _assert_identity(dump, SCENARIOS[scenario], end, clock)
 
 
-@pytest.mark.parametrize("scenario", sorted(MERGED_SCENARIOS))
-def test_replay_identity_merged_parallel(scenario, monkeypatch):
+@pytest.mark.parametrize("scenario, clock", _cases(MERGED_SCENARIOS))
+def test_replay_identity_merged_parallel(scenario, clock, monkeypatch):
     """Byte-equality holds replaying a REPRO_PARALLEL=2 merged dump —
     the merged ring carries exactly the sequential run's events, so the
     live oracle stays the (bit-identical) sequential bus."""
-    dump, end = _merged_dump(SCENARIOS[scenario], monkeypatch)
-    _assert_identity(dump, SCENARIOS[scenario], end)
+    dump, end = _merged_dump(SCENARIOS[scenario], monkeypatch, clock)
+    assert dump.meta["clock"] == clock
+    _assert_identity(dump, SCENARIOS[scenario], end, clock)
+
+
+def test_recover_reloads_replayed_clocks_like_the_live_channel():
+    """At ``recover`` the live channel reloads every persisted clock,
+    which opens a new merge-window epoch on a matrix clock; the replayed
+    clocks do the same, so they match beyond their cells."""
+    dump, end = _sequential_dump(_router_crash)
+    replay = Replayer(dump)
+    replay.seek(end)
+    live = _router_crash(MessageBus(_config()))
+    live.start()
+    live.run_until_idle()
+    epochs = [
+        (server, domain, clock._log_epoch)
+        for server, state in sorted(replay._states.items())
+        for domain, clock in sorted(state.clocks.items())
+    ]
+    assert epochs == [
+        (server, domain, item.clock._log_epoch)
+        for server, srv in sorted(live.servers.items())
+        for domain, item in sorted(srv.channel.domain_items.items())
+    ]
+    assert any(epoch > 0 for *_, epoch in epochs)
 
 
 # ----------------------------------------------------------------------
@@ -272,6 +324,24 @@ def test_replay_refuses_wrapped_ring():
     dump.meta["dropped"] = 17
     with pytest.raises(ConfigurationError, match="wrapped ring"):
         Replayer(dump)
+
+
+@pytest.mark.parametrize(
+    "meta, message",
+    [
+        ({}, "meta 'clock' is None"),
+        ({"clock": "nosuch"}, "meta 'clock' is 'nosuch'"),
+    ],
+    ids=["missing", "unregistered"],
+)
+def test_replay_refuses_a_dump_without_a_registered_core(meta, message):
+    dump, _ = _sequential_dump(_pingpong)
+    fields = {k: v for k, v in dump.meta.items() if k != "clock"}
+    with pytest.raises(ConfigurationError, match=message):
+        Replayer(
+            TraceDump(dict(fields, **meta), dump.events, dump.cpu,
+                      dump.histograms)
+        )
 
 
 def test_check_dump_complete_names_the_missing_kind():
