@@ -102,7 +102,8 @@ def test_env_kill_switch(monkeypatch):
     monkeypatch.setenv("REPRO_METRICS", "0")
     mom = _churn(accounting=True)
     assert mom.accounting is None
-    assert mom.acct is None
+    assert mom.cost_observer is None
+    assert mom._obs is None
     assert mom.cost_snapshot() is None
 
 

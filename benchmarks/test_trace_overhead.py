@@ -2,9 +2,10 @@
 
 Two claims to hold the tracer to:
 
-1. **Off means off** — an un-traced bus carries only a handful of
-   ``if self._tracer is not None`` guards on the hot path; its wall time
-   must be indistinguishable from the seed's.
+1. **Off means off** — an un-traced bus reports each lifecycle edge to
+   its accounting observer through one ``if self._obs is not None``
+   guard, and skips the tracer-only edges on ``_obs.tracing``; tracing
+   adds no second hook, so its untraced wall time must stay where it was.
 2. **On is observation-only** — with a tracer attached, the run may be
    slower in wall-clock, but every simulated observable (metrics
    snapshot, sim time) must be bit-identical: the tracer never touches

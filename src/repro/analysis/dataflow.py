@@ -7,8 +7,8 @@ Three pieces:
 - reaching definitions (:func:`reaching_definitions`), the classic
   may-analysis, used by tests and available to rules;
 - a *must* non-``None`` facts analysis (:func:`non_none_facts`): at each
-  node, the set of canonical expressions (``self._tracer``,
-  ``item.acct``, plain locals) proven non-``None`` on **every** path
+  node, the set of canonical expressions (``self._obs``,
+  ``server.channel._obs``, plain locals) proven non-``None`` on **every** path
   from the function entry — i.e. dominated by an ``is not None`` guard.
   This drives rule R009 (hook-guard discipline).
 
@@ -193,7 +193,7 @@ def guard_facts_from_test(test: ast.expr, branch: bool) -> FrozenSet[str]:
                 elif isinstance(op, ast.Is) and not branch:
                     facts.add(chain)
         return frozenset(facts)
-    # plain truthiness: `if self._tracer:` — accepted as a guard
+    # plain truthiness: `if self._obs:` — accepted as a guard
     chain = expr_chain(test)
     if chain is not None and branch:
         facts.add(chain)

@@ -299,7 +299,6 @@ class _Host:
     is lost in this scope; the metrics registry and its counters count
     nothing; ``store`` is a real :class:`PersistentStore`."""
 
-    acct = None
     epoch = 0
     channel_ack_timeout_ms = 0.0
     cost_model = CostModel()

@@ -38,11 +38,10 @@ CFG/call-graph/dataflow engine (:mod:`repro.analysis.cfg`,
   graph from a ``repro.obs``/``repro.metrics`` hook may mutate
   ``mom``/``clocks`` protocol state — the static form of the
   "bit-identical with tracer/accounting on" claim.
-- **R009** — guard discipline: every hook call through a
-  ``_tracer``/accounting handle must be dominated by an
-  ``is not None`` check (CFG must-facts, plus ``x and x.m()`` /
-  ternary lexical guards), so the no-observer fast path stays a
-  pointer test.
+- **R009** — guard discipline: every hook call through an ``_obs``
+  observer handle must be dominated by an ``is not None`` check (CFG
+  must-facts, plus ``x and x.m()`` / ternary lexical guards), so the
+  no-observer fast path stays a pointer test.
 - **R010** — transaction pairing: a ``._pending_commits.add(...)``
   must reach a ``.discard()``/``.clear()`` or a processor hand-off
   (``.submit()``/``.schedule()``) on **every** CFG path to the normal
@@ -94,7 +93,7 @@ from __future__ import annotations
 import ast
 from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Set, Tuple
 
-from repro.analysis.callgraph import Project
+from repro.analysis.callgraph import FunctionInfo, Project
 from repro.analysis.cfg import CFG, CFGNode, build_cfg
 from repro.analysis.concurrency import fork_model
 from repro.analysis.dataflow import (
@@ -620,19 +619,9 @@ class LayeredImports(Rule):
 # ----------------------------------------------------------------------
 
 
-#: Attribute-chain tails that carry an optional observation handle.
-HOOK_HANDLES = frozenset(
-    {
-        "_tracer",
-        "tracer",
-        "_sacct",
-        "sacct",
-        "acct",
-        "_acct",
-        "_telemetry",
-        "telemetry",
-    }
-)
+#: Attribute-chain tails that carry an optional observation handle: the
+#: bus observer every MOM component reports to, and the shard telemetry.
+HOOK_HANDLES = frozenset({"_obs", "obs", "_telemetry", "telemetry"})
 
 #: Modules that *are* the observation layer (hook targets for R008).
 #: The ``repro.obs`` prefix closes over every submodule, including the
@@ -711,6 +700,14 @@ def _calls_with_lexical_facts(
 
     visit(root, frozenset())
     return found
+
+
+def _overrides(project: Project, method: FunctionInfo) -> List[str]:
+    """The subclass methods a call resolved to ``method`` may dispatch to
+    (a tracer overriding the accounting observer's hooks)."""
+    name = method.name
+    subs = project.subclasses_of(method.cls.name) if method.cls else []
+    return [c.methods[name].qualname for c in subs if name in c.methods]
 
 
 class NondeterminismTaint(ProjectRule):
@@ -803,7 +800,9 @@ class ObservationPurity(ProjectRule):
                     c for c in candidates if _is_observation_module(c.module)
                 ]
                 if observation:
-                    roots.update(c.qualname for c in observation)
+                    for target in observation:
+                        roots.add(target.qualname)
+                        roots.update(_overrides(project, target))
                     continue
                 if candidates or not isinstance(func, ast.Attribute):
                     continue

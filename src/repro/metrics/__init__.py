@@ -6,8 +6,8 @@ that cost a continuously observable quantity instead of an after-the-fact
 benchmark result: a :class:`Registry` of typed instruments
 (:class:`Counter`, :class:`Gauge`, sim-time-windowed :class:`EwmaRate`,
 bounded-memory :class:`LogHistogram`) that the MOM's hot paths update
-through preallocated handles — no dict lookup, no allocation, no wall
-clock per event — labeled per ``server`` and per ``domain``.
+through handles resolved at boot — no registry lookup, no allocation, no
+wall clock per event — labeled per ``server`` and per ``domain``.
 
 The package sits at the very bottom of the layer stack (only ``errors``
 below it) so every layer — clocks, topology, mom — may account its own
@@ -21,9 +21,8 @@ per-domain terminal dashboard (:func:`render_dashboard`), all available
 offline over dumped snapshots via ``python -m repro.metrics``.
 
 Disable switch: ``REPRO_METRICS=0`` in the environment (or
-``BusConfig(accounting=False)``) turns the whole surface off; the hot
-paths then pay one ``is not None`` check per edge, exactly like the
-tracer's off mode.
+``BusConfig(accounting=False)``) turns the whole surface off; untraced,
+the hot paths then pay one ``_obs is not None`` check per edge.
 """
 
 from repro.metrics.dashboard import render as render_dashboard

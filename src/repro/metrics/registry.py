@@ -5,8 +5,8 @@ A :class:`Registry` owns every instrument of one accounting surface (one
 on first request — ``registry.counter(name, labels)`` — and the returned
 handle is the bare instrument object, so hot paths pay **zero** registry
 cost per event: resolve the handle once at boot, call ``inc``/``mark``
-forever after (the same discipline as the tracer's single
-``_tracer is not None`` check).
+forever after (:class:`~repro.mom.accounting.BusAccounting` resolves
+every handle of a bus at boot).
 
 Labels are ``{key: value}`` string pairs; the registry interns each
 ``(name, sorted labels)`` combination to exactly one instrument. The

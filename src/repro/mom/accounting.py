@@ -1,24 +1,33 @@
-"""Always-on causality-cost accounting for the MOM (the instrument catalog).
+"""Always-on causality-cost accounting: the bus's default observer.
 
-One :class:`BusAccounting` per bus builds every instrument the protocol
-layers update, hands each component a *preallocated handle bundle*
-(:class:`ServerAccounting`, :class:`DomainAccounting`) at boot, and
-registers the snapshot-time collector that pulls state too cheap to push
-(queue depths, resident clock cells, clock merge-mode counts, routing
-BFS work).
+One :class:`BusAccounting` per bus is the object every MOM component's
+``_obs`` hook points at; its methods are the lifecycle edges, each
+reported once. It resolves every handle bundle (:class:`ServerAccounting`,
+:class:`DomainAccounting`) at boot; :func:`install_collector` registers
+the pull side read at snapshot time (queue depths, resident clock cells,
+clock merge-mode counts, routing BFS work). The tracer
+(:class:`repro.obs.tracer.Tracer`) subclasses it and takes its place
+while attached, so a traced bus still accounts.
 
-Hot-path discipline (mirrors the tracer's ``_tracer is not None``):
+Hot-path discipline:
 
-- every per-event update is one attribute access on a bundle the
-  component resolved at construction — no registry lookup, no dict, no
-  allocation;
-- with accounting disabled (``REPRO_METRICS=0`` or
-  ``BusConfig(accounting=False)``) the bundles are ``None`` and the hot
-  paths pay a single pointer compare per edge;
+- each edge is one ``_obs is not None`` check at its call site (plus
+  ``_obs.tracing`` for a tracer-only edge); with accounting disabled
+  (``REPRO_METRICS=0`` or ``BusConfig(accounting=False)``) and no
+  tracer, ``_obs`` is ``None`` and that compare is the whole cost;
+- an edge finds its handles by server and domain id — no registry
+  lookup, no allocation — and, being the one call per event, adds to
+  a counter's ``value`` in place;
 - accounting never schedules events, never draws randomness, never
   touches the experiment :class:`~repro.simulation.metrics.MetricsRegistry`
   — an accounted run is bit-identical to a disabled one (pinned by
   ``tests/test_metrics_accounting.py``).
+
+Edges: ``bus_post``, ``channel_stamp``, ``channel_ack_retry``,
+``channel_holdback_enter``/``_release`` (returns the dwell),
+``channel_commit``, ``channel_route_forward``, ``engine_reaction_commit``
+(returns the end-to-end delivery) and ``server_crash``; the tracer-only
+edges are no-ops here.
 
 Instrument catalog (labels in braces; see ``docs/observability.md``):
 
@@ -46,7 +55,7 @@ Instrument catalog (labels in braces; see ``docs/observability.md``):
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict
+from typing import TYPE_CHECKING, Dict, Optional, Tuple
 
 from repro.metrics.histogram import LogHistogram
 from repro.metrics.instruments import Counter, EwmaRate, Gauge
@@ -54,13 +63,14 @@ from repro.metrics.registry import Registry
 
 if TYPE_CHECKING:
     from repro.mom.bus import MessageBus
+    from repro.mom.payloads import Envelope, Notification
 
 #: Bytes per matrix-clock cell on the wire (``array('q')`` cells).
 CELL_BYTES = 8
 
 
 class DomainAccounting:
-    """Per-(server, domain) hot-path handles, stored on the DomainItem."""
+    """Per-(server, domain) hot-path handles."""
 
     __slots__ = (
         "stamp_bytes",
@@ -108,7 +118,7 @@ class DomainAccounting:
 
 
 class ServerAccounting:
-    """Per-server hot-path handles, stored on the AgentServer."""
+    """Per-server hot-path handles."""
 
     __slots__ = (
         "ack_retries",
@@ -143,12 +153,18 @@ class ServerAccounting:
 
 
 class BusAccounting:
-    """The bus-wide accounting surface: global handles + bundle factory."""
+    """The accounting observer of one bus: one method per lifecycle edge.
 
-    __slots__ = ("registry", "notifications", "delivery_ms")
+    Built after the bus's servers, over ``registry``; the handles of
+    every server the bus holds are resolved here, once. A tracer on an
+    accounted bus shares them, and the held-since map, with this object.
+    """
 
-    def __init__(self, registry: Registry) -> None:
+    def __init__(self, bus: "MessageBus", registry: Registry) -> None:
         self.registry = registry
+        self._sim = bus.sim
+        #: whether the tracer-only edges are called (a tracer sets it)
+        self.tracing = False
         self.notifications: Counter = registry.counter(
             "bus_notifications_total",
             help="agent-level sends accepted by the bus",
@@ -157,12 +173,105 @@ class BusAccounting:
             "bus_delivery_ms",
             help="end-to-end delivery of cross-server notifications (ms)",
         )
+        self._servers: Dict[int, ServerAccounting] = {}
+        self._domains: Dict[int, Dict[str, DomainAccounting]] = {}
+        #: per receiving server: held-back (sender, hop_seq) -> arrival
+        self._held_since: Dict[int, Dict[Tuple[int, int], float]] = {}
+        for sid, server in bus.servers.items():
+            self._servers[sid] = ServerAccounting(registry, sid)
+            self._domains[sid] = {
+                d.domain_id: DomainAccounting(registry, sid, d.domain_id)
+                for d in server.domains
+            }
+            self._held_since[sid] = {}
 
-    def server(self, server_id: int) -> ServerAccounting:
-        return ServerAccounting(self.registry, server_id)
+    # ------------------------------------------------------------------
+    # Lifecycle edges
+    # ------------------------------------------------------------------
 
-    def domain(self, server_id: int, domain_id: str) -> DomainAccounting:
-        return DomainAccounting(self.registry, server_id, domain_id)
+    def bus_post(self, notification: "Notification") -> None:
+        self.notifications.value += 1
+
+    def channel_stamp(self, server: int, envelope: "Envelope") -> None:
+        bundle = self._domains[server][envelope.domain_id]
+        bundle.stamp_bytes.value += envelope.stamp.wire_cells * CELL_BYTES
+
+    def channel_ack_retry(self, server: int, envelope: "Envelope") -> None:
+        self._servers[server].ack_retries.value += 1
+
+    def channel_holdback_enter(
+        self, server: int, envelope: "Envelope"
+    ) -> None:
+        bundle = self._domains[server][envelope.domain_id]
+        bundle.holdback_enters.value += 1
+        bundle.holdback_depth.inc()
+        key = (envelope.src_server, envelope.hop_seq)
+        self._held_since[server][key] = self._sim.now
+
+    def channel_holdback_release(
+        self, server: int, envelope: "Envelope"
+    ) -> Optional[float]:
+        """Returns the dwell, or ``None`` if the enter was not observed."""
+        bundle = self._domains[server][envelope.domain_id]
+        bundle.holdback_depth.value -= 1.0
+        key = (envelope.src_server, envelope.hop_seq)
+        since = self._held_since[server].pop(key, None)
+        if since is None:
+            return None
+        dwell = self._sim.now - since
+        bundle.dwell_ms.record(dwell)
+        return dwell
+
+    def channel_commit(
+        self, server: int, envelope: "Envelope", merged_cells: int
+    ) -> None:
+        bundle = self._domains[server][envelope.domain_id]
+        bundle.merge_cells.value += merged_cells
+        bundle.commits.value += 1
+
+    def channel_route_forward(
+        self, server: int, envelope: "Envelope"
+    ) -> None:
+        self._servers[server].forwards.value += 1
+
+    def engine_reaction_commit(
+        self, server: int, notification: Optional["Notification"]
+    ) -> Optional[float]:
+        """Returns the end-to-end delivery time; ``None`` for a boot
+        reaction or a self-send (a timer or local tick, not a delivery)."""
+        bundle = self._servers[server]
+        now = self._sim.now
+        bundle.reactions.value += 1
+        bundle.reaction_rate.mark(now)
+        if notification is None:
+            return None
+        e2e = now - notification.sent_at
+        sender, target = notification.sender, notification.target
+        if sender.server != target.server:  # what bus_delivery_ms counts
+            self.delivery_ms.record(e2e)
+        elif sender.local == target.local:
+            return None
+        return e2e
+
+    def server_crash(self, server: int) -> None:
+        # the crash wiped the hold-back stores (the gauges' peaks keep the
+        # pre-crash high-water mark)
+        self._held_since[server].clear()
+        for bundle in self._domains[server].values():
+            bundle.holdback_depth.set(0.0)
+
+    # tracer-only edges: nothing to account; their call sites skip them
+    # unless ``tracing``, and a tracer overrides them
+    def channel_transmit(
+        self, server: int, envelope: "Envelope", attempt: int
+    ) -> None: ...
+    def channel_ack(self, server: int, hop_seq: int) -> None: ...
+    def channel_arrive(self, server: int, envelope: "Envelope") -> None: ...
+    def engine_enqueue(self, server: int, notification: "Notification") -> None: ...
+    def engine_reaction_start(
+        self, server: int, notification: Optional["Notification"]
+    ) -> None: ...
+    def server_recover(self, server: int) -> None: ...
 
 
 def install_collector(registry: Registry, bus: "MessageBus") -> None:

@@ -45,7 +45,6 @@ from repro.topology.routing import build_routing_tables
 
 if TYPE_CHECKING:
     from repro.causality.chains import Chain
-    from repro.obs.tracer import Tracer
 
 
 class MessageBus:
@@ -61,13 +60,10 @@ class MessageBus:
         self.metrics = MetricsRegistry()
         # Always-on cost accounting (repro.metrics): per-server/per-domain
         # causality costs, exposed via cost_snapshot(). REPRO_METRICS=0 or
-        # BusConfig(accounting=False) turns it off; the hot paths then pay
-        # one `is not None` check per edge, exactly like the tracer.
+        # BusConfig(accounting=False) turns it off.
         self.accounting: Optional[Registry] = None
-        self.acct: Optional[BusAccounting] = None
         if config.accounting and os.environ.get("REPRO_METRICS") != "0":
             self.accounting = Registry()
-            self.acct = BusAccounting(self.accounting)
             install_collector(self.accounting, self)
         if shard is None:
             self.network = Network(
@@ -110,9 +106,12 @@ class MessageBus:
             Trace(strict=strict_trace) if config.record_hop_trace else None
         )
         self._started = False
-        # observability hook (repro.obs); None = tracing off, and the
-        # only cost anywhere on the message path is this attribute check
-        self._tracer: Optional["Tracer"] = None
+        # every component's lifecycle-edge observer; an attached tracer
+        # (repro.obs) takes its place
+        self.cost_observer: Optional[BusAccounting] = None
+        if self.accounting is not None:
+            self.cost_observer = BusAccounting(self, self.accounting)
+        self.set_observer(self.cost_observer)
 
     # ------------------------------------------------------------------
     # Deployment and lifecycle
@@ -149,6 +148,15 @@ class MessageBus:
     def run_until_idle(self, max_events: int = 10_000_000) -> int:
         """Run to quiescence — every message delivered, every agent idle."""
         return self.sim.run_until_idle(max_events=max_events)
+
+    def set_observer(self, observer: Optional[BusAccounting]) -> None:
+        """Point every ``_obs`` hook at ``observer`` — a processor's or
+        transport's (tracer edges only) just when it is not the accounting."""
+        self._obs = observer
+        tracer = observer if observer is not self.cost_observer else None
+        for server in self.servers.values():
+            server._obs = server.channel._obs = server.engine._obs = observer
+            server.processor._obs = server.transport._obs = tracer
 
     # ------------------------------------------------------------------
     # Scripted events (scenarios, failure injection)
@@ -228,10 +236,8 @@ class MessageBus:
             payload=payload,
             sent_at=self.sim.now,
         )
-        if self._tracer is not None:
-            self._tracer.bus_post(notification)
-        if self.acct is not None:
-            self.acct.notifications.inc()
+        if self._obs is not None:
+            self._obs.bus_post(notification)
         self.record_app_send(notification)
         if target.server == sender.server:
             self.server(target.server).engine.enqueue(notification)
@@ -262,8 +268,6 @@ class MessageBus:
             self.metrics.samples("bus.delivery_ms").record(
                 self.sim.now - notification.sent_at
             )
-            if self.acct is not None and notification.sender.server != notification.target.server:
-                self.acct.delivery_ms.record(self.sim.now - notification.sent_at)
         if self.app_trace is None or notification.sender == notification.target:
             return
         self.app_trace.record_receive(

@@ -53,15 +53,14 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Set, Tuple
 
 from repro.errors import RoutingError, TopologyError
-from repro.mom.accounting import CELL_BYTES
 from repro.mom.domain_item import DomainItem
 from repro.mom.payloads import ChannelAck, Envelope, Notification
 from repro.protocol.core import CausalCore
 from repro.simulation.metrics import LazyCounter
 
 if TYPE_CHECKING:
+    from repro.mom.accounting import BusAccounting
     from repro.mom.server import AgentServer
-    from repro.obs.tracer import Tracer
 
 
 class _HoldbackStore:
@@ -122,14 +121,10 @@ class Channel:
     def __init__(self, server: AgentServer) -> None:
         self._server = server
         self._core: CausalCore = server.core
-        self._items: Dict[str, DomainItem] = {}
-        for domain in server.domains:
-            item = DomainItem(domain, server.server_id, self._core)
-            if server.bus.acct is not None:
-                item.acct = server.bus.acct.domain(
-                    server.server_id, domain.domain_id
-                )
-            self._items[domain.domain_id] = item
+        self._items: Dict[str, DomainItem] = {
+            domain.domain_id: DomainItem(domain, server.server_id, self._core)
+            for domain in server.domains
+        }
         self._hop_seq = 0
         self._unacked: Dict[int, Envelope] = {}
         self._holdback: Dict[str, _HoldbackStore] = {
@@ -149,13 +144,8 @@ class Channel:
         self._ctr_duplicates = lazy(metrics, "channel.duplicates")
         self._ctr_heldback = lazy(metrics, "channel.heldback")
         self._ctr_forwarded = lazy(metrics, "channel.forwarded")
-        # observability hook (repro.obs); None = tracing off
-        self._tracer: Optional["Tracer"] = None
-        # cost accounting (repro.metrics); None = accounting off.
-        # _acct_held_since remembers each held-back envelope's arrival
-        # instant so release can record the dwell histogram.
-        self._sacct = server.acct
-        self._acct_held_since: Dict[Tuple, float] = {}
+        # the bus's observer (accounting, or a tracer); set by the bus
+        self._obs: Optional["BusAccounting"] = None
 
     # ------------------------------------------------------------------
     # Introspection
@@ -250,8 +240,8 @@ class Channel:
         # not the later wire transmit; recording here keeps the hop trace's
         # local orders aligned with the matrix-clock protocol's view.
         self._server.bus.record_hop_send(envelope)
-        if self._tracer is not None:
-            self._tracer.channel_stamp(me, envelope)
+        if self._obs is not None:
+            self._obs.channel_stamp(me, envelope)
 
         cost = self._server.config.cost_model.send_cost(
             stamp, item.clock.size, item.clock.dirty_cells()
@@ -259,18 +249,14 @@ class Channel:
         item.clock.clear_dirty()
         self._ctr_hops_sent.add()
         self._ctr_cells_stamped.add(stamp.wire_cells)
-        if item.acct is not None:
-            item.acct.stamp_bytes.inc(stamp.wire_cells * CELL_BYTES)
         epoch = self._server.epoch
         self._server.processor.submit(cost, self._transmit, envelope, epoch, 1)
 
     def _transmit(self, envelope: Envelope, epoch: int, attempt: int) -> None:
         if epoch != self._server.epoch:
             return
-        if self._tracer is not None:
-            self._tracer.channel_transmit(
-                self._server.server_id, envelope, attempt
-            )
+        if self._obs is not None and self._obs.tracing:
+            self._obs.channel_transmit(self._server.server_id, envelope, attempt)
         self._server.transport.send(
             envelope.dst_server, envelope, cells=envelope.stamp.wire_cells
         )
@@ -302,8 +288,8 @@ class Channel:
             envelope.stamp, item.clock.size, 0
         )
         self._ctr_hops_resent.add()
-        if self._sacct is not None:
-            self._sacct.ack_retries.inc()
+        if self._obs is not None:
+            self._obs.channel_ack_retry(self._server.server_id, envelope)
         self._server.processor.submit(
             cost, self._transmit, envelope, epoch, attempt + 1
         )
@@ -339,8 +325,8 @@ class Channel:
         removed = self._unacked.pop(ack.hop_seq, None)
         if removed is None:
             return  # duplicate ACK after a retransmission
-        if self._tracer is not None:
-            self._tracer.channel_ack(self._server.server_id, ack.hop_seq)
+        if self._obs is not None and self._obs.tracing:
+            self._obs.channel_ack(self._server.server_id, ack.hop_seq)
         self._server.store.delete_entry("channel.unacked", ack.hop_seq)
         epoch = self._server.epoch
         self._server.processor.submit(
@@ -356,10 +342,10 @@ class Channel:
             self._ctr_duplicates.add()
             self._ack(envelope)
             return
-        if self._tracer is not None:
+        if self._obs is not None and self._obs.tracing:
             # the wire leg ends here; the critical-path profiler splits
             # transit from receive processing on this edge
-            self._tracer.channel_arrive(self._server.server_id, envelope)
+            self._obs.channel_arrive(self._server.server_id, envelope)
         if self._core.deliverable(item.clock, envelope.stamp):
             self._start_commit(envelope, item)
         else:
@@ -370,12 +356,8 @@ class Channel:
             self._arrivals += 1
             store.add(self._arrivals, envelope)
             self._ctr_heldback.add()
-            if item.acct is not None:
-                item.acct.holdback_enters.inc()
-                item.acct.holdback_depth.inc()
-                self._acct_held_since[key] = self._server.sim.now
-            if self._tracer is not None:
-                self._tracer.channel_holdback_enter(
+            if self._obs is not None:
+                self._obs.channel_holdback_enter(
                     self._server.server_id, envelope
                 )
 
@@ -397,12 +379,9 @@ class Channel:
         self._pending_commits.discard(envelope.hop_mid())
         item = self._items[envelope.domain_id]
         self._core.merge(item.clock, envelope.stamp)
-        if item.acct is not None:
-            item.acct.merge_cells.inc(item.clock.dirty_cells())
-            item.acct.commits.inc()
-        if self._tracer is not None:
+        if self._obs is not None:
             # dirty_cells() right after the merge = cells this commit moved
-            self._tracer.channel_commit(
+            self._obs.channel_commit(
                 self._server.server_id, envelope, item.clock.dirty_cells()
             )
         item.clock.clear_dirty()
@@ -415,10 +394,8 @@ class Channel:
             self._server.engine.enqueue(envelope.notification)
         else:
             self._ctr_forwarded.add()
-            if self._sacct is not None:
-                self._sacct.forwards.inc()
-            if self._tracer is not None:
-                self._tracer.channel_route_forward(
+            if self._obs is not None:
+                self._obs.channel_route_forward(
                     self._server.server_id, envelope
                 )
             self.post(envelope.notification)
@@ -458,16 +435,10 @@ class Channel:
         if not ready:
             return
         ready.sort()  # release in arrival order, like the seed's queue scan
-        acct = item.acct
         for arrival, env in ready:
             store.remove(arrival, env)
-            if acct is not None:
-                acct.holdback_depth.dec()
-                since = self._acct_held_since.pop(env.hop_mid(), None)
-                if since is not None:
-                    acct.dwell_ms.record(self._server.sim.now - since)
-            if self._tracer is not None:
-                self._tracer.channel_holdback_release(
+            if self._obs is not None:
+                self._obs.channel_holdback_release(
                     self._server.server_id, env
                 )
         for _, env in ready:
@@ -507,12 +478,6 @@ class Channel:
             store.clear()
         self._pending_commits.clear()
         self._unacked.clear()
-        # account the wipe: the held-back envelopes are gone (the gauge's
-        # peak keeps the pre-crash high-water mark)
-        self._acct_held_since.clear()
-        for item in self._items.values():
-            if item.acct is not None:
-                item.acct.holdback_depth.set(0.0)
 
     def on_recover(self) -> None:
         """Reload clocks, the unacked table and the hop counter from the

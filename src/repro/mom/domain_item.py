@@ -17,22 +17,15 @@ causal-router-server".
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional
-
 from repro.clocks.base import CausalClock
 from repro.protocol.core import CausalCore
 from repro.topology.domains import Domain
-
-if TYPE_CHECKING:
-    from repro.mom.accounting import DomainAccounting
 
 
 class DomainItem:
     """One server's view of one domain: local identity + domain clock."""
 
-    __slots__ = (
-        "domain", "domain_server_id", "core", "_clock", "acct"
-    )
+    __slots__ = ("domain", "domain_server_id", "core", "_clock")
 
     def __init__(
         self, domain: Domain, server_id: int, core: CausalCore
@@ -47,9 +40,6 @@ class DomainItem:
         self.domain_server_id = domain.local_id(server_id)
         self.core = core
         self._clock = core.create_clock(domain.size, self.domain_server_id)
-        # cost-accounting handle bundle, attached by the Channel at boot;
-        # None = accounting off (one pointer compare on the hot path)
-        self.acct: Optional["DomainAccounting"] = None
 
     @property
     def domain_id(self) -> str:

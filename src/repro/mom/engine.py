@@ -29,8 +29,8 @@ from repro.mom.identifiers import AgentId
 from repro.mom.payloads import Notification
 
 if TYPE_CHECKING:
+    from repro.mom.accounting import BusAccounting
     from repro.mom.server import AgentServer
-    from repro.obs.tracer import Tracer
 
 _BOOT = "__boot__"
 
@@ -43,8 +43,8 @@ class Engine:
         self._agents: Dict[int, Agent] = {}
         self._queue_in: Deque[Any] = deque()
         self._reacting = False
-        # observability hook (repro.obs); None = tracing off
-        self._tracer: Optional["Tracer"] = None
+        # the bus's observer (accounting, or a tracer); set by the bus
+        self._obs: Optional["BusAccounting"] = None
         # committed-delivery prefix (ordered nids), observer state: it is
         # not volatile protocol state, so crashes do not wipe it
         self._delivered_log: Optional[List[int]] = (
@@ -86,10 +86,8 @@ class Engine:
     def enqueue(self, notification: Notification) -> None:
         """Append to the persistent QueueIN and schedule processing."""
         self._queue_in.append(notification)
-        if self._tracer is not None:
-            self._tracer.engine_enqueue(
-                self._server.server_id, notification
-            )
+        if self._obs is not None and self._obs.tracing:
+            self._obs.engine_enqueue(self._server.server_id, notification)
         self._persist_queue()
         self._schedule_next()
 
@@ -158,9 +156,9 @@ class Engine:
             local = notification.target.local
             receive_of = notification
 
-        tracer = self._tracer
-        if tracer is not None:
-            tracer.engine_reaction_start(self._server.server_id, receive_of)
+        obs = self._obs
+        if obs is not None and obs.tracing:
+            obs.engine_reaction_start(self._server.server_id, receive_of)
         ctx = ReactionContext(agent.agent_id, self._server.sim.now)
         if receive_of is None:
             agent.on_boot(ctx)
@@ -181,13 +179,9 @@ class Engine:
             self._delivered_log.append(receive_of.nid)
         # ---- end commit ----
 
-        if tracer is not None:
-            tracer.engine_reaction_commit(self._server.server_id, receive_of)
+        if obs is not None:
+            obs.engine_reaction_commit(self._server.server_id, receive_of)
         self._server.metrics.counter("engine.reactions").add()
-        sacct = self._server.acct
-        if sacct is not None:
-            sacct.reactions.inc()
-            sacct.reaction_rate.mark(self._server.sim.now)
         self._schedule_next()
 
     # ------------------------------------------------------------------

@@ -11,7 +11,6 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, List, Optional
 
 from repro.errors import ServerCrashedError
-from repro.mom.accounting import ServerAccounting
 from repro.mom.channel import Channel
 from repro.mom.config import BusConfig
 from repro.mom.engine import Engine
@@ -23,8 +22,8 @@ from repro.topology.domains import Domain
 from repro.topology.routing import RoutingTable
 
 if TYPE_CHECKING:
+    from repro.mom.accounting import BusAccounting
     from repro.mom.bus import MessageBus
-    from repro.obs.tracer import Tracer
 
 
 class AgentServer:
@@ -48,12 +47,8 @@ class AgentServer:
 
         self.epoch = 0
         self._crashed = False
-        # observability hook (repro.obs); None = tracing off
-        self._tracer: Optional["Tracer"] = None
-        # cost-accounting handle bundle (repro.metrics); None = accounting off
-        self.acct: Optional[ServerAccounting] = (
-            bus.acct.server(server_id) if bus.acct is not None else None
-        )
+        # the bus's observer (accounting, or a tracer); set by the bus
+        self._obs: Optional["BusAccounting"] = None
         self.store = PersistentStore(server_id)
         self.processor = Processor(self.sim, owner=server_id)
         # the causal-delivery core, resolved once per server: the Channel
@@ -96,8 +91,8 @@ class AgentServer:
         self.channel.on_crash()
         self.engine.on_crash()
         self.metrics.counter("server.crashes").add()
-        if self._tracer is not None:
-            self._tracer.server_crash(self.server_id)
+        if self._obs is not None:
+            self._obs.server_crash(self.server_id)
 
     def recover(self) -> None:
         """Reload persistent state and resume: clocks and unacked sends
@@ -113,8 +108,8 @@ class AgentServer:
         self.channel.on_recover()
         self.engine.on_recover()
         self.metrics.counter("server.recoveries").add()
-        if self._tracer is not None:
-            self._tracer.server_recover(self.server_id)
+        if self._obs is not None and self._obs.tracing:
+            self._obs.server_recover(self.server_id)
 
     def __repr__(self) -> str:
         state = "crashed" if self._crashed else "up"

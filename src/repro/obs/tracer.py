@@ -3,11 +3,15 @@
 A :class:`Tracer` is attached to a live :class:`~repro.mom.bus.MessageBus`
 with :func:`attach` (or globally to every future bus with :func:`install`,
 which is what the test suite's conftest does under ``REPRO_TRACE=1``).
-Attachment sets the ``_tracer`` hook attribute on the bus, every channel,
-engine, server, transport and processor; the instrumented hot paths guard
-each hook behind a single ``is not None`` attribute check, so with tracing
-off the cost is one pointer compare per edge — the PR-1 hot-path numbers
-are untouched (``benchmarks/test_trace_overhead.py`` pins this).
+
+:class:`Tracer` subclasses the accounting observer
+:class:`~repro.mom.accounting.BusAccounting`; :func:`attach` points every
+component's one ``_obs`` hook at it (processors and transports too, for
+``cpu`` and ``transport_retransmit``) and :func:`detach` points them back.
+Each accounted hook calls the base, which returns what it computed
+(hold-back dwell, end-to-end delivery), and records its ring event from
+that value; ``tracing`` turns on the tracer-only edges an untraced bus
+skips. It counts into the bus's registry (accounting off: a private one).
 
 Everything the tracer does is passive: it reads sim-time, appends to its
 own ring buffer and its own histograms. It never schedules an event, never
@@ -22,9 +26,11 @@ import os
 from collections import deque
 from typing import TYPE_CHECKING, Any, Deque, Dict, List, Optional, Tuple
 
+from repro.metrics.histogram import LogHistogram
+from repro.metrics.registry import Registry
+from repro.mom.accounting import BusAccounting
 from repro.obs import flight_recorder
 from repro.obs.events import DEFAULT_CAPACITY, EventRing, TraceEvent
-from repro.metrics.histogram import LogHistogram
 
 if TYPE_CHECKING:
     from repro.mom.bus import MessageBus
@@ -46,16 +52,25 @@ _CORE_HISTOGRAMS = (
 )
 
 
-class Tracer:
-    """Records every lifecycle edge of one bus into a bounded ring.
+class Tracer(BusAccounting):
+    """The bus's accounting plus a bounded ring of every lifecycle edge.
 
     Construct via :func:`attach`; the constructor only wires state, it does
     not install any hook.
     """
 
     def __init__(self, bus: "MessageBus", capacity: int = DEFAULT_CAPACITY) -> None:
+        observer = bus.cost_observer
+        if observer is None:  # accounting off: count into a private registry
+            super().__init__(bus, Registry())
+        else:  # share its handles (resolving them again costs boot time)
+            self.registry, self._sim = observer.registry, observer._sim
+            self.notifications = observer.notifications
+            self.delivery_ms = observer.delivery_ms
+            self._servers, self._domains = observer._servers, observer._domains
+            self._held_since = observer._held_since  # the one held-since map
+        self.tracing = True
         self.bus = bus
-        self._sim = bus.sim
         self.ring = EventRing(capacity)
         #: CPU occupancy slices ``(server, start_ms, duration_ms)`` — kept
         #: out of the ring so busy servers don't evict protocol events.
@@ -70,7 +85,6 @@ class Tracer:
         self.autodumps = 0
         # transient per-message bookkeeping (all keys are removed at the
         # closing edge, so memory tracks in-flight work, not run length)
-        self._held_since: Dict[tuple, float] = {}
         self._wire_sent_at: Dict[Tuple[int, int], float] = {}
         self._hop_nid: Dict[Tuple[int, int], int] = {}
         self._enqueued_at: Dict[Tuple[int, int], float] = {}
@@ -107,10 +121,22 @@ class Tracer:
         return flight_recorder.dump(self, reason)
 
     # ------------------------------------------------------------------
-    # Hook methods (called from the instrumented hot paths)
+    # Hook methods (hot paths); an accounted edge first runs the base's,
+    # named directly (``super()`` would build a proxy object per call)
     # ------------------------------------------------------------------
 
+    def _hop(
+        self, kind: str, server: int, envelope: "Envelope", value: float = 0.0
+    ) -> None:
+        """Record a channel edge of ``envelope``'s hop, now."""
+        self.ring.record(
+            self._sim.now, kind, server, envelope.notification.nid,
+            envelope.domain_id, envelope.src_server, envelope.dst_server,
+            envelope.hop_seq, value,
+        )
+
     def bus_post(self, notification: "Notification") -> None:
+        BusAccounting.bus_post(self, notification)
         self.ring.record(
             self._sim.now,
             "post",
@@ -121,35 +147,16 @@ class Tracer:
         )
 
     def channel_stamp(self, server: int, envelope: "Envelope") -> None:
+        BusAccounting.channel_stamp(self, server, envelope)
         self._hop_nid[(server, envelope.hop_seq)] = envelope.notification.nid
-        self.ring.record(
-            self._sim.now,
-            "stamp",
-            server,
-            envelope.notification.nid,
-            domain=envelope.domain_id,
-            src=envelope.src_server,
-            dst=envelope.dst_server,
-            hop_seq=envelope.hop_seq,
-            value=float(envelope.stamp.wire_cells),
-        )
+        self._hop("stamp", server, envelope, float(envelope.stamp.wire_cells))
 
     def channel_transmit(
         self, server: int, envelope: "Envelope", attempt: int
     ) -> None:
-        now = self._sim.now
-        self._wire_sent_at[(server, envelope.hop_seq)] = now
-        self.ring.record(
-            now,
-            "transmit" if attempt == 1 else "retransmit",
-            server,
-            envelope.notification.nid,
-            domain=envelope.domain_id,
-            src=envelope.src_server,
-            dst=envelope.dst_server,
-            hop_seq=envelope.hop_seq,
-            value=float(attempt),
-        )
+        self._wire_sent_at[(server, envelope.hop_seq)] = self._sim.now
+        kind = "transmit" if attempt == 1 else "retransmit"
+        self._hop(kind, server, envelope, float(attempt))
 
     def channel_ack(self, server: int, hop_seq: int) -> None:
         now = self._sim.now
@@ -164,85 +171,37 @@ class Tracer:
         )
 
     def channel_arrive(self, server: int, envelope: "Envelope") -> None:
-        self.ring.record(
-            self._sim.now,
-            "arrive",
-            server,
-            envelope.notification.nid,
-            domain=envelope.domain_id,
-            src=envelope.src_server,
-            dst=envelope.dst_server,
-            hop_seq=envelope.hop_seq,
-        )
+        self._hop("arrive", server, envelope)
 
     def channel_holdback_enter(
         self, server: int, envelope: "Envelope"
     ) -> None:
-        now = self._sim.now
-        self._held_since[envelope.hop_mid()] = now
-        self.ring.record(
-            now,
-            "holdback_enter",
-            server,
-            envelope.notification.nid,
-            domain=envelope.domain_id,
-            src=envelope.src_server,
-            dst=envelope.dst_server,
-            hop_seq=envelope.hop_seq,
-        )
+        BusAccounting.channel_holdback_enter(self, server, envelope)
+        self._hop("holdback_enter", server, envelope)
 
     def channel_holdback_release(
         self, server: int, envelope: "Envelope"
     ) -> None:
-        now = self._sim.now
-        since = self._held_since.pop(envelope.hop_mid(), None)
-        dwell = now - since if since is not None else 0.0
-        if since is not None:
+        dwell = BusAccounting.channel_holdback_release(self, server, envelope)
+        if dwell is not None:
             self.hist(HIST_HOLDBACK).record(dwell)
-        self.ring.record(
-            now,
-            "holdback_release",
-            server,
-            envelope.notification.nid,
-            domain=envelope.domain_id,
-            src=envelope.src_server,
-            dst=envelope.dst_server,
-            hop_seq=envelope.hop_seq,
-            value=dwell,
-        )
+        self._hop("holdback_release", server, envelope, dwell or 0.0)
 
     def channel_commit(
         self, server: int, envelope: "Envelope", merged_cells: int
     ) -> None:
+        BusAccounting.channel_commit(self, server, envelope, merged_cells)
         self.hist(HIST_MERGE).record(float(merged_cells))
         self.hist(f"{HIST_MERGE}.{envelope.domain_id}").record(
             float(merged_cells)
         )
-        self.ring.record(
-            self._sim.now,
-            "commit",
-            server,
-            envelope.notification.nid,
-            domain=envelope.domain_id,
-            src=envelope.src_server,
-            dst=envelope.dst_server,
-            hop_seq=envelope.hop_seq,
-            value=float(merged_cells),
-        )
+        self._hop("commit", server, envelope, float(merged_cells))
 
     def channel_route_forward(
         self, server: int, envelope: "Envelope"
     ) -> None:
-        self.ring.record(
-            self._sim.now,
-            "route_forward",
-            server,
-            envelope.notification.nid,
-            domain=envelope.domain_id,
-            src=envelope.src_server,
-            dst=envelope.dst_server,
-            hop_seq=envelope.hop_seq,
-        )
+        BusAccounting.channel_route_forward(self, server, envelope)
+        self._hop("route_forward", server, envelope)
 
     def engine_enqueue(self, server: int, notification: "Notification") -> None:
         now = self._sim.now
@@ -274,19 +233,19 @@ class Tracer:
     def engine_reaction_commit(
         self, server: int, notification: Optional["Notification"]
     ) -> None:
-        now = self._sim.now
+        e2e = BusAccounting.engine_reaction_commit(self, server, notification)
         if notification is None:
-            self.ring.record(now, "reaction_commit", server, -1)
+            self.ring.record(self._sim.now, "reaction_commit", server, -1)
             return
-        e2e = 0.0
-        if notification.sender != notification.target:
-            e2e = now - notification.sent_at
+        if e2e is not None:
             self.hist(HIST_E2E).record(e2e)
         self.ring.record(
-            now, "reaction_commit", server, notification.nid, value=e2e
+            self._sim.now, "reaction_commit", server, notification.nid,
+            value=e2e or 0.0,
         )
 
     def server_crash(self, server: int) -> None:
+        BusAccounting.server_crash(self, server)
         self.ring.record(self._sim.now, "crash", server, -1)
 
     def server_recover(self, server: int) -> None:
@@ -329,8 +288,8 @@ class Tracer:
 def attach(bus: "MessageBus", capacity: int = DEFAULT_CAPACITY) -> Tracer:
     """Instrument a live bus in place; idempotent per bus.
 
-    Sets the ``_tracer`` hook attribute everywhere the message path checks
-    one, registers the tracer with the flight recorder, and wraps
+    Makes the tracer the bus's observer (every ``_obs`` hook points at
+    it), registers the tracer with the flight recorder, and wraps
     ``run``/``run_until_idle`` so an *unexpected* exception (anything
     outside the protocol's :class:`~repro.errors.ReproError` vocabulary)
     leaves a flight-recorder dump before propagating.
@@ -340,14 +299,7 @@ def attach(bus: "MessageBus", capacity: int = DEFAULT_CAPACITY) -> Tracer:
         return existing
     tracer = Tracer(bus, capacity)
     bus._obs_tracer = tracer  # type: ignore[attr-defined]
-    bus._tracer = tracer
-    for server in bus.servers.values():
-        server._tracer = tracer
-        server.channel._tracer = tracer
-        server.engine._tracer = tracer
-        server.transport._tracer = tracer
-        server.processor._tracer = tracer
-        server.processor._tracer_owner = server.server_id
+    bus.set_observer(tracer)
     flight_recorder.register(tracer)
     _wrap_run_methods(bus, tracer)
     return tracer
@@ -356,20 +308,15 @@ def attach(bus: "MessageBus", capacity: int = DEFAULT_CAPACITY) -> Tracer:
 def detach(bus: "MessageBus") -> None:
     """Stop recording on a bus previously passed to :func:`attach`.
 
-    The hook attributes revert to ``None`` (hot paths go back to the
-    single attribute check); the tracer object and its recorded events
-    stay alive for whoever still holds a reference.
+    The hooks go back to the bus's accounting observer (``None`` where
+    accounting is off, and on processors and transports); the tracer
+    object and its recorded events stay alive for whoever still holds a
+    reference.
     """
     if getattr(bus, "_obs_tracer", None) is None:
         return
     bus._obs_tracer = None  # type: ignore[attr-defined]
-    bus._tracer = None
-    for server in bus.servers.values():
-        server._tracer = None
-        server.channel._tracer = None
-        server.engine._tracer = None
-        server.transport._tracer = None
-        server.processor._tracer = None
+    bus.set_observer(bus.cost_observer)
 
 
 def _wrap_run_methods(bus: "MessageBus", tracer: Tracer) -> None:

@@ -286,8 +286,7 @@ class Processor:
     """
 
     __slots__ = (
-        "_sim", "_owner", "_busy_until", "_busy_total", "_halted",
-        "_tracer", "_tracer_owner",
+        "_sim", "_owner", "_busy_until", "_busy_total", "_halted", "_obs",
     )
 
     def __init__(self, sim: Simulator, owner: int = -1):
@@ -296,10 +295,9 @@ class Processor:
         self._busy_until = 0.0
         self._busy_total = 0.0
         self._halted = False
-        # observability hook (repro.obs, set via duck typing — this layer
-        # cannot know the tracer's type); None = tracing off
-        self._tracer: Optional[Any] = None
-        self._tracer_owner = -1
+        # the tracer while one is attached (repro.obs, set via duck
+        # typing — this layer cannot know its type); None otherwise
+        self._obs: Optional[Any] = None
 
     @property
     def busy_until(self) -> float:
@@ -335,8 +333,8 @@ class Processor:
         start = max(self._sim.now, self._busy_until)
         self._busy_until = start + duration
         self._busy_total += duration
-        if self._tracer is not None:
-            self._tracer.cpu(self._tracer_owner, start, duration)
+        if self._obs is not None:
+            self._obs.cpu(self._owner, start, duration)
         return self._sim.schedule_local_at(
             self._owner, self._busy_until, fn, *args
         )

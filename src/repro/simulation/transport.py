@@ -84,9 +84,9 @@ class ReliableTransport:
         self._stopped = False
         self.retransmissions = 0
         self.duplicates_suppressed = 0
-        # observability hook (repro.obs, set via duck typing — this layer
-        # cannot know the tracer's type); None = tracing off
-        self._tracer: Optional[Any] = None
+        # the tracer while one is attached (repro.obs, set via duck
+        # typing — this layer cannot know its type); None otherwise
+        self._obs: Optional[Any] = None
         network.attach(endpoint, self._on_packet)
 
     @property
@@ -153,8 +153,8 @@ class ReliableTransport:
             )
         entry.attempts += 1
         self.retransmissions += 1
-        if self._tracer is not None:
-            self._tracer.transport_retransmit(
+        if self._obs is not None:
+            self._obs.transport_retransmit(
                 self._endpoint, entry.dst, entry.seq, entry.attempts,
                 entry.payload,
             )

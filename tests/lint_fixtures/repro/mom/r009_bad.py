@@ -4,25 +4,25 @@ from typing import Optional
 
 
 class R009Channel:
-    _tracer: Optional[object]
+    _obs: Optional[object]
 
     def __init__(self) -> None:
-        self._tracer = None
+        self._obs = None
 
     def unguarded(self, mid: str) -> None:
-        self._tracer.on_send(mid)  # no guard at all
+        self._obs.on_send(mid)  # no guard at all
 
     def one_armed(self, mid: str, fast: bool) -> None:
         if fast:
-            if self._tracer is not None:
-                self._tracer.on_send(mid)
+            if self._obs is not None:
+                self._obs.on_send(mid)
         else:
-            self._tracer.on_send(mid)  # this branch is unguarded
+            self._obs.on_send(mid)  # this branch is unguarded
 
     def stale_guard(self, mid: str) -> None:
-        if self._tracer is not None:
-            self._tracer = self._fresh()
-            self._tracer.on_send(mid)  # rebinding killed the fact
+        if self._obs is not None:
+            self._obs = self._fresh()
+            self._obs.on_send(mid)  # rebinding killed the fact
 
     def _fresh(self) -> Optional[object]:
         return None

@@ -4,34 +4,34 @@ from typing import Optional
 
 
 class R009Guarded:
-    _tracer: Optional[object]
+    _obs: Optional[object]
 
     def __init__(self) -> None:
-        self._tracer = None
-        self.acct = None
+        self._obs = None
+        self.obs = None
 
     def direct(self, mid: str) -> None:
-        if self._tracer is not None:
-            self._tracer.on_send(mid)
+        if self._obs is not None:
+            self._obs.on_send(mid)
 
     def early_return(self, mid: str) -> None:
-        if self._tracer is None:
+        if self._obs is None:
             return
-        self._tracer.on_send(mid)
+        self._obs.on_send(mid)
 
     def local_alias(self, mid: str) -> None:
-        tracer = self._tracer
-        if tracer is not None:
-            tracer.on_send(mid)
+        obs = self._obs
+        if obs is not None:
+            obs.on_send(mid)
 
     def ternary(self, server_id: str) -> None:
         self.handle = (
-            self.acct.server(server_id) if self.acct is not None else None
+            self.obs.server(server_id) if self.obs is not None else None
         )
 
     def short_circuit(self, mid: str) -> bool:
-        return self._tracer is not None and self._tracer.on_send(mid)
+        return self._obs is not None and self._obs.on_send(mid)
 
     def truthiness(self, mid: str) -> None:
-        if self._tracer:
-            self._tracer.on_send(mid)
+        if self._obs:
+            self._obs.on_send(mid)

@@ -4,10 +4,10 @@ from typing import Optional
 
 
 class R009Suppressed:
-    _tracer: Optional[object]
+    _obs: Optional[object]
 
     def __init__(self) -> None:
-        self._tracer = None
+        self._obs = None
 
     def always_traced(self, mid: str) -> None:
-        self._tracer.on_send(mid)  # noqa: R009
+        self._obs.on_send(mid)  # noqa: R009

@@ -39,6 +39,14 @@ def rules_fired(path: Path) -> list:
     return [d.rule for d in lint_file(path)]
 
 
+@pytest.fixture(scope="session")
+def src_lint_cache(tmp_path_factory):
+    """One findings cache for the whole-``src/`` lints: the in-process
+    lint fills it, the CLI's ``--changed`` run reuses it warm (both
+    name files by the same absolute paths, so the entries match)."""
+    return tmp_path_factory.mktemp("lint-cache") / "src.json"
+
+
 @pytest.fixture(scope="module")
 def fixture_project_findings():
     """One whole-program lint of the fixture tree, shared per module."""
@@ -188,7 +196,10 @@ class TestR008ObservationPurity:
             )
         project = Project(modules)
         roots = ObservationPurity._hook_roots(project)
-        assert any("Tracer." in root for root in roots)
+        assert any(".BusAccounting." in root for root in roots)
+        assert any(".Tracer." in root for root in roots)
+        # the channel's typed `_obs` calls reach the tracer's overrides
+        assert "repro.obs.tracer.Tracer.channel_commit" in roots
         assert any(root.startswith("repro.metrics.") for root in roots)
         closure = project.reachable_from(sorted(roots))
         assert len(closure) > len(roots)
@@ -518,8 +529,8 @@ class TestFramework:
         second = [d.format() for d in lint_paths([FIXTURES])]
         assert first == second
 
-    def test_repo_src_is_clean(self):
-        findings = lint_paths([REPO_SRC])
+    def test_repo_src_is_clean(self, src_lint_cache):
+        findings = lint_paths([REPO_SRC], cache=src_lint_cache)
         assert findings == [], "\n".join(d.format() for d in findings)
 
 
@@ -778,8 +789,10 @@ class TestCli:
         payload = json.loads(sarif.read_text())
         assert payload["runs"][0]["results"] == []
 
-    def test_changed_flag_on_clean_checkout(self):
-        result = self.run_cli("lint", "src/", "--changed")
+    def test_changed_flag_on_clean_checkout(self, src_lint_cache):
+        result = self.run_cli(
+            "lint", str(REPO_SRC), "--changed", "--cache", str(src_lint_cache)
+        )
         assert result.returncode == 0, result.stdout + result.stderr
 
     def test_changed_outside_git_is_a_usage_error(self, tmp_path):

@@ -8,8 +8,11 @@ The two headline guarantees:
   untraced one (metrics snapshot, sim clock).
 """
 
+import io
+
 import pytest
 
+from repro.metrics import write_json
 from repro.mom.agent import EchoAgent, FunctionAgent
 from repro.mom.workloads import PingPongDriver
 from repro.mom.bus import MessageBus
@@ -32,9 +35,16 @@ def make_pingpong_bus(topology, rounds=5, target_server=None):
     return mom, driver
 
 
-def run_jittery(seed, trace=False):
+def cost_json(mom):
+    out = io.StringIO()
+    write_json(mom.cost_snapshot(), out)
+    return out.getvalue()
+
+
+def run_jittery(seed, trace=False, crash=False):
     """The determinism-suite workload: 12 servers on a bus of domains,
-    jittery lossy network, 10 messages crossing domains."""
+    jittery lossy network, 10 messages crossing domains; ``crash`` takes
+    the router the messages cross down mid-run."""
     mom = MessageBus(
         BusConfig(
             topology=bus_topology(12, 4),
@@ -53,6 +63,8 @@ def run_jittery(seed, trace=False):
 
     sender.on_boot = boot
     mom.deploy(sender, 0)
+    if crash:
+        mom.schedule_crash(30.0, 3, 50.0)
     mom.start()
     mom.run_until_idle()
     return mom, tracer
@@ -131,6 +143,22 @@ class TestObservationOnly:
         assert enters == releases
         assert tracer.hist("holdback_dwell_ms").count == releases
 
+    def test_trace_is_the_same_with_accounting_off(self, monkeypatch):
+        """The tracer does the accounting work itself, into a private
+        registry when the bus has none: what it records must not depend
+        on whether the bus accounts."""
+        _, accounted = run_jittery(7, trace=True, crash=True)
+        monkeypatch.setenv("REPRO_METRICS", "0")
+        mom, unaccounted = run_jittery(7, trace=True, crash=True)
+        assert mom.cost_snapshot() is None
+        assert {e.kind for e in accounted.events()} >= {
+            "crash", "holdback_release", "retransmit"
+        }
+        assert unaccounted.events() == accounted.events()
+        assert (
+            unaccounted.histogram_snapshot() == accounted.histogram_snapshot()
+        )
+
 
 class TestAttachDetach:
     def test_attach_is_idempotent(self):
@@ -146,9 +174,22 @@ class TestAttachDetach:
         mom.run_until_idle()
         assert driver.mean_rtt > 0
         assert tracer.ring.next_seq == 0
-        assert mom._tracer is None
+        assert mom._obs is mom.cost_observer is not None
         for server in mom.servers.values():
-            assert server._tracer is None
+            assert server._obs is server.channel._obs is mom.cost_observer
+            assert server.processor._obs is server.transport._obs is None
+
+    def test_detach_keeps_accounting(self):
+        """An attached-then-detached bus accounts exactly like one that
+        was never traced."""
+        bare, _ = make_pingpong_bus(bus_topology(12, 4), rounds=3)
+        detached, _ = make_pingpong_bus(bus_topology(12, 4), rounds=3)
+        attach(detached)
+        detach(detached)
+        for mom in (bare, detached):
+            mom.start()
+            mom.run_until_idle()
+        assert cost_json(detached) == cost_json(bare)
 
     def test_install_patches_new_buses(self):
         if is_installed():
