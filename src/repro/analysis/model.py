@@ -318,6 +318,8 @@ class _Host:
     def counter(self, name: str) -> "_Host":
         return self
 
+    lazy_counter = counter
+
     def submit(self, cost: float, fn: Callable[..., None], *args: Any) -> None:
         self.world.tasks.append((fn, args))
 

@@ -775,25 +775,29 @@ class ObservationPurity(ProjectRule):
     def _hook_roots(project: Project) -> Set[str]:
         """Observation-layer functions invoked from protocol code: the
         resolved targets of handle call sites plus registered metric
-        collectors. Any protocol→observation call edge is a hook."""
+        collectors and row sources (registered anywhere, run at every
+        snapshot). Any protocol→observation call edge is a hook."""
         roots: Set[str] = set()
         for qualname in sorted(project.functions):
             fn = project.functions[qualname]
-            if not fn.module.startswith("repro.") or _is_observation_module(
-                fn.module
-            ):
+            if not fn.module.startswith("repro."):
                 continue
+            observing = _is_observation_module(fn.module)
             env = project.local_env(fn)
             for node in ast.walk(fn.node):
                 if not isinstance(node, ast.Call):
                     continue
                 func = node.func
-                if isinstance(func, ast.Attribute) and func.attr == "add_collector":
+                if isinstance(func, ast.Attribute) and func.attr in (
+                    "add_collector", "add_row_source"
+                ):
                     for arg in node.args:
-                        if isinstance(arg, ast.Name):
+                        if isinstance(arg, (ast.Name, ast.Attribute)):
                             probe = ast.Call(func=arg, args=[], keywords=[])
                             for target in project.resolve_call(probe, fn, env):
                                 roots.add(target.qualname)
+                    continue
+                if observing:
                     continue
                 candidates = project.resolve_call(node, fn, env)
                 observation = [

@@ -6,8 +6,10 @@ that cost a continuously observable quantity instead of an after-the-fact
 benchmark result: a :class:`Registry` of typed instruments
 (:class:`Counter`, :class:`Gauge`, sim-time-windowed :class:`EwmaRate`,
 bounded-memory :class:`LogHistogram`) that the MOM's hot paths update
-through handles resolved at boot — no registry lookup, no allocation, no
-wall clock per event — labeled per ``server`` and per ``domain``.
+through handles resolved on a server's first lifecycle edge — no registry
+lookup, no allocation, no wall clock per event — labeled per ``server``
+and per ``domain``. Servers no edge has touched hold no instruments; their
+all-zero rows are rendered from the topology at snapshot time.
 
 The package sits at the very bottom of the layer stack (only ``errors``
 below it) so every layer — clocks, topology, mom — may account its own

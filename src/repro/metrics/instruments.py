@@ -3,8 +3,8 @@
 These are the always-on hot-path primitives of :mod:`repro.metrics`: each
 instrument is a plain ``__slots__`` object whose update methods touch only
 its own attributes — no registry lookup, no allocation, no wall clock.
-The instrumented layers resolve one handle per (component, instrument) at
-boot and the per-event cost is a single bound-method call.
+The instrumented layers resolve one handle per (component, instrument)
+once and the per-event cost is a single bound-method call.
 
 Everything is deterministic in simulated time: :class:`EwmaRate` decays
 against the sim-time ``now`` its caller passes in, never against

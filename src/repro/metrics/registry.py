@@ -4,9 +4,9 @@ A :class:`Registry` owns every instrument of one accounting surface (one
 :class:`~repro.mom.bus.MessageBus` in practice). Instruments are created
 on first request — ``registry.counter(name, labels)`` — and the returned
 handle is the bare instrument object, so hot paths pay **zero** registry
-cost per event: resolve the handle once at boot, call ``inc``/``mark``
-forever after (:class:`~repro.mom.accounting.BusAccounting` resolves
-every handle of a bus at boot).
+cost per event: resolve the handle once, call ``inc``/``mark`` forever
+after (:class:`~repro.mom.accounting.BusAccounting` resolves a server's
+handles on the first lifecycle edge that names the server).
 
 Labels are ``{key: value}`` string pairs; the registry interns each
 ``(name, sorted labels)`` combination to exactly one instrument. The
@@ -20,12 +20,19 @@ push per event (queue depths, resident clock-state cells, clock
 merge-mode counts). Collection order is registration order and every
 collector reads sim-state deterministically, so two identical runs
 produce byte-identical snapshots (pinned by the determinism tests).
+
+*Row sources* supply rows no instrument backs: the accounting renders
+the all-zero rows of servers no edge has touched from the topology,
+each pointing at a shared, never-mutated template :class:`Entry`, so an
+idle server costs nothing until a snapshot walks it.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable, Dict, List, Mapping, Optional, Tuple
+from itertools import chain
+from operator import itemgetter
+from typing import Callable, Dict, Iterable, List, Mapping, Optional, Tuple
 
 from repro.errors import ConfigurationError
 from repro.metrics.histogram import LogHistogram
@@ -43,19 +50,25 @@ def _labels_key(labels: Optional[Mapping[str, str]]) -> Labels:
     return tuple(sorted((str(k), str(v)) for k, v in labels.items()))
 
 
-class _Entry:
-    """One registered instrument plus its exposition metadata."""
+class Entry:
+    """One row's kind, help text and instrument (its name and labels are
+    the registry key). A row source shares one per template."""
 
-    __slots__ = ("kind", "name", "labels", "help", "instrument")
+    __slots__ = ("kind", "help", "instrument")
 
-    def __init__(
-        self, kind: str, name: str, labels: Labels, help: str, instrument
-    ) -> None:
+    def __init__(self, kind: str, help: str, instrument) -> None:
         self.kind = kind
-        self.name = name
-        self.labels = labels
         self.help = help
         self.instrument = instrument
+
+
+Row = Tuple[Tuple[str, Labels], Entry]
+
+_FACTORIES: Dict[str, Callable[[], object]] = {
+    "counter": Counter,
+    "gauge": Gauge,
+    "rate": EwmaRate,
+}
 
 
 def _finite(value: float) -> float:
@@ -67,8 +80,9 @@ class Registry:
     """Named, labeled instruments plus snapshot-time collectors."""
 
     def __init__(self) -> None:
-        self._entries: Dict[Tuple[str, Labels], _Entry] = {}
+        self._entries: Dict[Tuple[str, Labels], Entry] = {}
         self._collectors: List[Callable[[], None]] = []
+        self._row_sources: List[Callable[[], Iterable[Row]]] = []
 
     # ------------------------------------------------------------------
     # Instrument factories (idempotent per (name, labels))
@@ -78,21 +92,27 @@ class Registry:
         self,
         kind: str,
         name: str,
-        labels: Optional[Mapping[str, str]],
+        labels: Labels,
         help: str,
         factory: Callable[[], object],
     ):
-        key = (name, _labels_key(labels))
+        key = (name, labels)
         entry = self._entries.get(key)
         if entry is None:
-            entry = _Entry(kind, name, key[1], help, factory())
+            entry = Entry(kind, help, factory())
             self._entries[key] = entry
         elif entry.kind != kind:
             raise ConfigurationError(
-                f"instrument {name!r}{dict(key[1])} already registered "
+                f"instrument {name!r}{dict(labels)} already registered "
                 f"as {entry.kind}, requested as {kind}"
             )
         return entry.instrument
+
+    def instrument(self, kind: str, name: str, labels: Labels, help: str = ""):
+        """The counter, gauge or (1 s window) rate under ``(name,
+        labels)``, ``labels`` an already-sorted key — for callers that
+        build one key per handle bundle."""
+        return self._get(kind, name, labels, help, _FACTORIES[kind])
 
     def counter(
         self,
@@ -100,7 +120,7 @@ class Registry:
         labels: Optional[Mapping[str, str]] = None,
         help: str = "",
     ) -> Counter:
-        return self._get("counter", name, labels, help, Counter)
+        return self._get("counter", name, _labels_key(labels), help, Counter)
 
     def gauge(
         self,
@@ -108,7 +128,7 @@ class Registry:
         labels: Optional[Mapping[str, str]] = None,
         help: str = "",
     ) -> Gauge:
-        return self._get("gauge", name, labels, help, Gauge)
+        return self._get("gauge", name, _labels_key(labels), help, Gauge)
 
     def rate(
         self,
@@ -118,7 +138,7 @@ class Registry:
         tau_ms: float = 1000.0,
     ) -> EwmaRate:
         return self._get(
-            "rate", name, labels, help, lambda: EwmaRate(tau_ms)
+            "rate", name, _labels_key(labels), help, lambda: EwmaRate(tau_ms)
         )
 
     def histogram(
@@ -133,7 +153,7 @@ class Registry:
         return self._get(
             "histogram",
             name,
-            labels,
+            _labels_key(labels),
             help,
             lambda: LogHistogram(name, low=low, high=high,
                                  per_decade=per_decade),
@@ -151,15 +171,26 @@ class Registry:
         for collector in self._collectors:
             collector()
 
+    def add_row_source(self, source: Callable[[], Iterable[Row]]) -> None:
+        """Register rows no instrument of this registry backs: ``source()``
+        yields ``((name, labels), entry)`` pairs, called after the
+        collectors at every snapshot and dump, never for a held key."""
+        self._row_sources.append(source)
+
+    def _rows(self) -> List[Row]:
+        """Collectors first, then every row in (name, labels) order."""
+        self.collect()
+        sources = [source() for source in self._row_sources]
+        return sorted(
+            chain(self._entries.items(), *sources), key=itemgetter(0)
+        )
+
     # ------------------------------------------------------------------
     # Introspection / export
     # ------------------------------------------------------------------
 
     def __len__(self) -> int:
         return len(self._entries)
-
-    def names(self) -> List[str]:
-        return sorted({entry.name for entry in self._entries.values()})
 
     def snapshot(
         self, now: float = 0.0, meta: Optional[dict] = None
@@ -170,9 +201,8 @@ class Registry:
         finite, no wall-clock anywhere — two identical sim runs dump
         byte-identical JSON.
         """
-        self.collect()
         instruments = []
-        for (name, labels), entry in sorted(self._entries.items()):
+        for (name, labels), entry in self._rows():
             row: dict = {
                 "name": name,
                 "type": entry.kind,
@@ -213,11 +243,10 @@ class Registry:
 
     def dump_state(self) -> List[dict]:
         """Picklable registry contents: collectors run first (so pulled
-        gauges are current), then every entry ships its kind, identity,
+        gauges are current), then every row ships its kind, identity,
         help text and instrument state."""
-        self.collect()
         rows = []
-        for (name, labels), entry in sorted(self._entries.items()):
+        for (name, labels), entry in self._rows():
             rows.append({
                 "kind": entry.kind,
                 "name": name,

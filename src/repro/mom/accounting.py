@@ -2,12 +2,18 @@
 
 One :class:`BusAccounting` per bus is the object every MOM component's
 ``_obs`` hook points at; its methods are the lifecycle edges, each
-reported once. It resolves every handle bundle (:class:`ServerAccounting`,
-:class:`DomainAccounting`) at boot; :func:`install_collector` registers
-the pull side read at snapshot time (queue depths, resident clock cells,
-clock merge-mode counts, routing BFS work). The tracer
-(:class:`repro.obs.tracer.Tracer`) subclasses it and takes its place
-while attached, so a traced bus still accounts.
+reported once. Boot builds only the bus-wide instruments and one hold-back
+dwell histogram per domain; a server's handle bundles
+(:class:`ServerAccounting`, :class:`DomainAccounting`) are resolved on the
+first edge that names the server, so boot pays for traffic, not for n.
+The bundles also carry the pulled gauges (queue depths, resident clock
+cells, clock merge-mode counts), which the collector sets at snapshot
+time without a registry lookup. A server no edge has touched has no
+instruments at all: its rows — zeros, and ``clock_state_cells`` = s² per
+member — are rendered from the topology by a registry row source, off
+the same catalogs the bundles are built from. The tracer
+(:class:`repro.obs.tracer.Tracer`) subclasses this observer and takes its
+place while attached, so a traced bus still accounts.
 
 Hot-path discipline:
 
@@ -15,8 +21,9 @@ Hot-path discipline:
   ``_obs.tracing`` for a tracer-only edge); with accounting disabled
   (``REPRO_METRICS=0`` or ``BusConfig(accounting=False)``) and no
   tracer, ``_obs`` is ``None`` and that compare is the whole cost;
-- an edge finds its handles by server and domain id — no registry
-  lookup, no allocation — and, being the one call per event, adds to
+- an edge finds its handles by server and domain id — a dict lookup that
+  resolves the server's bundles on a miss, no registry lookup, no
+  allocation once resolved — and, being the one call per event, adds to
   a counter's ``value`` in place;
 - accounting never schedules events, never draws randomness, never
   touches the experiment :class:`~repro.simulation.metrics.MetricsRegistry`
@@ -37,15 +44,15 @@ Instrument catalog (labels in braces; see ``docs/observability.md``):
 ``channel_commits_total``             {srv,dom}  receiver transactions committed
 ``channel_holdback_enters_total``     {srv,dom}  envelopes that arrived too early
 ``channel_holdback_depth``            {srv,dom}  live hold-back occupancy (gauge + peak)
-``channel_holdback_dwell_ms``         {dom}      histogram of hold-back dwell times
-``channel_ack_retries_total``         {srv}      transaction-ACK timeouts -> stamped resends
-``channel_forwards_total``            {srv}      router store-and-forward re-posts
-``channel_unacked_depth``             {srv}      QueueOUT occupancy (pulled)
 ``clock_state_cells``                 {srv,dom}  nominal matrix cells, s² per member (pulled)
 ``clock_merges``                      {srv,dom,mode}  window vs full merges (pulled)
+``channel_holdback_dwell_ms``         {dom}      histogram of hold-back dwell times (built at boot)
+``channel_ack_retries_total``         {srv}      transaction-ACK timeouts -> stamped resends
+``channel_forwards_total``            {srv}      router store-and-forward re-posts
 ``engine_reactions_total``            {srv}      atomic reactions committed
-``engine_queue_depth``                {srv}      QueueIN occupancy (pulled)
 ``engine_reaction_rate``              {srv}      sim-time EWMA of reaction throughput
+``channel_unacked_depth``             {srv}      QueueOUT occupancy (pulled)
+``engine_queue_depth``                {srv}      QueueIN occupancy (pulled)
 ``bus_notifications_total``           {}         agent-level sends accepted
 ``bus_delivery_ms``                   {}         cross-server end-to-end delivery histogram
 ``routing_bfs_trees_total``           {}         lazily materialized BFS trees
@@ -55,114 +62,168 @@ Instrument catalog (labels in braces; see ``docs/observability.md``):
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Optional, Tuple
+from typing import (
+    TYPE_CHECKING, Callable, Dict, Iterator, List, Optional, Tuple,
+)
 
 from repro.metrics.histogram import LogHistogram
 from repro.metrics.instruments import Counter, EwmaRate, Gauge
-from repro.metrics.registry import Registry
+from repro.metrics.registry import Entry, Labels, Registry, Row
 
 if TYPE_CHECKING:
     from repro.mom.bus import MessageBus
     from repro.mom.payloads import Envelope, Notification
+    from repro.mom.server import AgentServer
 
 #: Bytes per matrix-clock cell on the wire (``array('q')`` cells).
 CELL_BYTES = 8
 
+#: A bundle's instruments: (field, name, kind, help, ``mode`` label or
+#: ``None``). The one source of both a resolved bundle's instruments and
+#: an idle server's rendered rows, so the two cannot disagree.
+Catalog = Tuple[Tuple[str, str, str, str, Optional[str]], ...]
+
+_MERGES_HELP = (
+    "deliveries by merge strategy (window = only changed cells replayed)"
+)
+
+SERVER_CATALOG: Catalog = (
+    ("ack_retries", "channel_ack_retries_total", "counter",
+     "transaction-ACK timeouts that triggered a stamped resend", None),
+    ("forwards", "channel_forwards_total", "counter",
+     "router store-and-forward re-posts towards the next domain", None),
+    ("reactions", "engine_reactions_total", "counter",
+     "atomic agent reactions committed", None),
+    ("reaction_rate", "engine_reaction_rate", "rate",
+     "EWMA reaction throughput (events/s of sim-time)", None),
+    ("unacked_depth", "channel_unacked_depth", "gauge",
+     "envelopes stamped but not yet transaction-ACKed", None),
+    ("queue_depth", "engine_queue_depth", "gauge",
+     "notifications waiting in the engine's QueueIN", None),
+)
+
+DOMAIN_CATALOG: Catalog = (
+    ("stamp_bytes", "channel_stamp_bytes_total", "counter",
+     "causality-stamp bytes serialized onto the wire", None),
+    ("merge_cells", "channel_merge_cells_total", "counter",
+     "matrix-clock cells advanced by receive-side merges", None),
+    ("commits", "channel_commits_total", "counter",
+     "receiver transactions committed", None),
+    ("holdback_enters", "channel_holdback_enters_total", "counter",
+     "envelopes held back on arrival (causal dependency unmet)", None),
+    ("holdback_depth", "channel_holdback_depth", "gauge",
+     "envelopes currently held back", None),
+    ("state_cells", "clock_state_cells", "gauge",
+     "resident matrix-clock cells (s^2 per member)", None),
+    ("window_merges", "clock_merges", "gauge", _MERGES_HELP, "window"),
+    ("full_merges", "clock_merges", "gauge", _MERGES_HELP, "full"),
+)
+
+#: The rows of an idle server point at these; nothing ever writes them.
+_ZERO = {"counter": Counter(), "gauge": Gauge(), "rate": EwmaRate()}
+
+#: an idle row template: (name, ``mode`` label or ``None``, entry)
+_IdleRow = Tuple[str, Optional[str], Entry]
+
+
+def _idle_templates(catalog: Catalog, size: int = 0) -> List[_IdleRow]:
+    """An idle server's rows off ``catalog``: zeros, and s² resident
+    clock cells in a domain of ``size``."""
+    cells = Gauge()
+    cells.set(float(size * size))
+    return [
+        (name, mode, Entry(
+            kind, help, cells if field == "state_cells" else _ZERO[kind]
+        ))
+        for field, name, kind, help, mode in catalog
+    ]
+
+
+_IDLE_SERVER_ROWS = _idle_templates(SERVER_CATALOG)
+
+
+def _label_key(base: Labels, mode: Optional[str]) -> Labels:
+    """``base`` with the ``mode`` label sorted in (domain < mode < server)."""
+    if mode is None:
+        return base
+    return (*base[:-1], ("mode", mode), base[-1])
+
 
 class DomainAccounting:
-    """Per-(server, domain) hot-path handles."""
+    """Per-(server, domain) handles, built off :data:`DOMAIN_CATALOG`,
+    plus the domain's dwell histogram."""
 
-    __slots__ = (
-        "stamp_bytes",
-        "merge_cells",
-        "commits",
-        "holdback_enters",
-        "holdback_depth",
-        "dwell_ms",
-    )
+    __slots__ = tuple(line[0] for line in DOMAIN_CATALOG) + ("dwell_ms",)
+
+    stamp_bytes: Counter
+    merge_cells: Counter
+    commits: Counter
+    holdback_enters: Counter
+    holdback_depth: Gauge
+    state_cells: Gauge
+    window_merges: Gauge
+    full_merges: Gauge
 
     def __init__(
-        self, registry: Registry, server_id: int, domain_id: str
+        self,
+        registry: Registry,
+        server: str,
+        domain_id: str,
+        dwell_ms: LogHistogram,
     ) -> None:
-        labels = {"server": str(server_id), "domain": domain_id}
-        self.stamp_bytes: Counter = registry.counter(
-            "channel_stamp_bytes_total",
-            labels,
-            help="causality-stamp bytes serialized onto the wire",
-        )
-        self.merge_cells: Counter = registry.counter(
-            "channel_merge_cells_total",
-            labels,
-            help="matrix-clock cells advanced by receive-side merges",
-        )
-        self.commits: Counter = registry.counter(
-            "channel_commits_total",
-            labels,
-            help="receiver transactions committed",
-        )
-        self.holdback_enters: Counter = registry.counter(
-            "channel_holdback_enters_total",
-            labels,
-            help="envelopes held back on arrival (causal dependency unmet)",
-        )
-        self.holdback_depth: Gauge = registry.gauge(
-            "channel_holdback_depth",
-            labels,
-            help="envelopes currently held back",
-        )
-        self.dwell_ms: LogHistogram = registry.histogram(
-            "channel_holdback_dwell_ms",
-            {"domain": domain_id},
-            help="sim-time ms an envelope spent held back before release",
-        )
+        base = (("domain", domain_id), ("server", server))
+        for field, name, kind, help, mode in DOMAIN_CATALOG:
+            setattr(self, field, registry.instrument(
+                kind, name, _label_key(base, mode), help
+            ))
+        self.dwell_ms = dwell_ms
 
 
 class ServerAccounting:
-    """Per-server hot-path handles."""
+    """Per-server handles, built off :data:`SERVER_CATALOG`."""
 
-    __slots__ = (
-        "ack_retries",
-        "forwards",
-        "reactions",
-        "reaction_rate",
-    )
+    __slots__ = tuple(line[0] for line in SERVER_CATALOG)
 
-    def __init__(self, registry: Registry, server_id: int) -> None:
-        labels = {"server": str(server_id)}
-        self.ack_retries: Counter = registry.counter(
-            "channel_ack_retries_total",
-            labels,
-            help="transaction-ACK timeouts that triggered a stamped resend",
-        )
-        self.forwards: Counter = registry.counter(
-            "channel_forwards_total",
-            labels,
-            help="router store-and-forward re-posts towards the next domain",
-        )
-        self.reactions: Counter = registry.counter(
-            "engine_reactions_total",
-            labels,
-            help="atomic agent reactions committed",
-        )
-        self.reaction_rate: EwmaRate = registry.rate(
-            "engine_reaction_rate",
-            labels,
-            help="EWMA reaction throughput (events/s of sim-time)",
-            tau_ms=1000.0,
-        )
+    ack_retries: Counter
+    forwards: Counter
+    reactions: Counter
+    reaction_rate: EwmaRate
+    unacked_depth: Gauge
+    queue_depth: Gauge
+
+    def __init__(self, registry: Registry, server: str) -> None:
+        base = (("server", server),)
+        for field, name, kind, help, mode in SERVER_CATALOG:
+            setattr(self, field, registry.instrument(
+                kind, name, _label_key(base, mode), help
+            ))
+
+
+class _OnFirstTouch(dict):
+    """Per-server map whose miss resolves the server's bundles."""
+
+    def __init__(self, resolve: Callable[[int], None]) -> None:
+        super().__init__()
+        self._resolve = resolve
+
+    def __missing__(self, server: int):
+        self._resolve(server)
+        return self[server]
 
 
 class BusAccounting:
     """The accounting observer of one bus: one method per lifecycle edge.
 
-    Built after the bus's servers, over ``registry``; the handles of
-    every server the bus holds are resolved here, once. A tracer on an
-    accounted bus shares them, and the held-since map, with this object.
+    Built after the bus's servers, over ``registry``. A server's handles
+    are resolved on the first edge that names it; until then its rows are
+    rendered from the topology. A tracer on an accounted bus shares the
+    bundle maps, and the held-since map, with this object.
     """
 
     def __init__(self, bus: "MessageBus", registry: Registry) -> None:
         self.registry = registry
         self._sim = bus.sim
+        self._bus_servers: Dict[int, "AgentServer"] = bus.servers
         #: whether the tracer-only edges are called (a tracer sets it)
         self.tracing = False
         self.notifications: Counter = registry.counter(
@@ -173,17 +234,40 @@ class BusAccounting:
             "bus_delivery_ms",
             help="end-to-end delivery of cross-server notifications (ms)",
         )
-        self._servers: Dict[int, ServerAccounting] = {}
-        self._domains: Dict[int, Dict[str, DomainAccounting]] = {}
+        # one dwell histogram per domain with a member on this bus
+        self._dwell: Dict[str, LogHistogram] = {
+            domain.domain_id: registry.histogram(
+                "channel_holdback_dwell_ms",
+                {"domain": domain.domain_id},
+                help="sim-time ms an envelope spent held back before release",
+            )
+            for domain in bus.config.topology.domains
+            if any(server in bus.servers for server in domain.servers)
+        }
+        self._servers: Dict[int, ServerAccounting] = _OnFirstTouch(
+            self._resolve
+        )
+        self._domains: Dict[int, Dict[str, DomainAccounting]] = (
+            _OnFirstTouch(self._resolve)
+        )
         #: per receiving server: held-back (sender, hop_seq) -> arrival
-        self._held_since: Dict[int, Dict[Tuple[int, int], float]] = {}
-        for sid, server in bus.servers.items():
-            self._servers[sid] = ServerAccounting(registry, sid)
-            self._domains[sid] = {
-                d.domain_id: DomainAccounting(registry, sid, d.domain_id)
-                for d in server.domains
-            }
-            self._held_since[sid] = {}
+        self._held_since: Dict[int, Dict[Tuple[int, int], float]] = (
+            _OnFirstTouch(self._resolve)
+        )
+        registry.add_collector(self._collect)
+        registry.add_row_source(self._idle_rows)
+
+    def _resolve(self, server: int) -> None:
+        """Build ``server``'s bundles: the first edge that names it."""
+        label = str(server)
+        self._servers[server] = ServerAccounting(self.registry, label)
+        self._domains[server] = {
+            d.domain_id: DomainAccounting(
+                self.registry, label, d.domain_id, self._dwell[d.domain_id]
+            )
+            for d in self._bus_servers[server].domains
+        }
+        self._held_since[server] = {}
 
     # ------------------------------------------------------------------
     # Lifecycle edges
@@ -273,47 +357,61 @@ class BusAccounting:
     ) -> None: ...
     def server_recover(self, server: int) -> None: ...
 
+    # ------------------------------------------------------------------
+    # Snapshot side
+    # ------------------------------------------------------------------
 
-def install_collector(registry: Registry, bus: "MessageBus") -> None:
-    """Register the pull side: depths and resident state, read at
-    snapshot time in sorted server order (deterministic)."""
-
-    def collect() -> None:
-        for server_id in sorted(bus.servers):
-            server = bus.servers[server_id]
-            labels = {"server": str(server_id)}
-            registry.gauge(
-                "channel_unacked_depth",
-                labels,
-                help="envelopes stamped but not yet transaction-ACKed",
-            ).set(float(server.channel.unacked_count))
-            registry.gauge(
-                "engine_queue_depth",
-                labels,
-                help="notifications waiting in the engine's QueueIN",
-            ).set(float(server.engine.queued))
-            for domain_id, item in sorted(
-                server.channel.domain_items.items()
-            ):
-                dlabels = {"server": str(server_id), "domain": domain_id}
-                clock = item.clock
-                registry.gauge(
-                    "clock_state_cells",
-                    dlabels,
-                    help="resident matrix-clock cells (s^2 per member)",
-                ).set(float(clock.size * clock.size))
-                for mode in ("window", "full"):
-                    registry.gauge(
-                        "clock_merges",
-                        {**dlabels, "mode": mode},
-                        help="deliveries by merge strategy (window = only "
-                        "changed cells replayed)",
-                    ).set(float(getattr(clock, f"stat_{mode}_merges", 0)))
+    def _collect(self) -> None:
+        """Set the pulled gauges of every resolved server. QueueIN and
+        QueueOUT can fill through no edge (boot reactions, local sends),
+        so a server whose queues are non-empty is resolved first; every
+        other state of an untouched server is its topology's template."""
+        resolved = self._servers
+        for server_id in self._bus_servers:
+            if server_id in resolved:
+                continue
+            server = self._bus_servers[server_id]
+            if server.engine.queued or server.channel.unacked_count:
+                self._resolve(server_id)
+        for server_id, bundle in resolved.items():
+            server = self._bus_servers[server_id]
+            channel = server.channel
+            bundle.unacked_depth.set(float(channel.unacked_count))
+            bundle.queue_depth.set(float(server.engine.queued))
+            for domain_id, domain in self._domains[server_id].items():
+                clock = channel.item(domain_id).clock
+                domain.state_cells.set(float(clock.size * clock.size))
+                domain.window_merges.set(
+                    float(getattr(clock, "stat_window_merges", 0))
+                )
+                domain.full_merges.set(
+                    float(getattr(clock, "stat_full_merges", 0))
+                )
                 # resync the live value after crashes wiped stores; the
                 # push side keeps the peak honest between snapshots
-                store_depth = server.channel.holdback_depth(domain_id)
-                registry.gauge(
-                    "channel_holdback_depth", dlabels
-                ).set(float(store_depth))
+                domain.holdback_depth.set(
+                    float(channel.holdback_depth(domain_id))
+                )
 
-    registry.add_collector(collect)
+    def _idle_rows(self) -> Iterator[Row]:
+        """The rows of every server no edge has touched, from the
+        topology: zero counters, gauges and rates, and s² resident cells."""
+        resolved = self._servers
+        by_size: Dict[int, List[_IdleRow]] = {}
+        for server_id in self._bus_servers:
+            if server_id in resolved:
+                continue
+            server = self._bus_servers[server_id]
+            label = str(server_id)
+            base: Labels = (("server", label),)
+            for name, _, entry in _IDLE_SERVER_ROWS:
+                yield (name, base), entry
+            for domain in server.domains:
+                rows = by_size.get(domain.size)
+                if rows is None:
+                    rows = by_size[domain.size] = _idle_templates(
+                        DOMAIN_CATALOG, domain.size
+                    )
+                base = (("domain", domain.domain_id), ("server", label))
+                for name, mode, entry in rows:
+                    yield (name, _label_key(base, mode)), entry

@@ -29,7 +29,7 @@ from repro.causality.message import Message
 from repro.causality.trace import Trace
 from repro.errors import ConfigurationError, ServerCrashedError
 from repro.metrics.registry import Registry
-from repro.mom.accounting import BusAccounting, install_collector
+from repro.mom.accounting import BusAccounting
 from repro.mom.agent import Agent
 from repro.mom.config import BusConfig
 from repro.mom.identifiers import AgentId
@@ -64,7 +64,6 @@ class MessageBus:
         self.accounting: Optional[Registry] = None
         if config.accounting and os.environ.get("REPRO_METRICS") != "0":
             self.accounting = Registry()
-            install_collector(self.accounting, self)
         if shard is None:
             self.network = Network(
                 sim=self.sim,

@@ -56,7 +56,6 @@ from repro.errors import RoutingError, TopologyError
 from repro.mom.domain_item import DomainItem
 from repro.mom.payloads import ChannelAck, Envelope, Notification
 from repro.protocol.core import CausalCore
-from repro.simulation.metrics import LazyCounter
 
 if TYPE_CHECKING:
     from repro.mom.accounting import BusAccounting
@@ -132,18 +131,17 @@ class Channel:
         }
         self._arrivals = 0
         self._pending_commits: Set[Tuple] = set()
-        # Hot counters, resolved once instead of a registry lookup per hop.
-        # LazyCounter keeps the registration itself lazy so counters that
-        # never fire don't appear in snapshots (same key set as before).
-        metrics = server.metrics
-        lazy = LazyCounter
-        self._ctr_hops_sent = lazy(metrics, "channel.hops_sent")
-        self._ctr_cells_stamped = lazy(metrics, "channel.cells_stamped")
-        self._ctr_hops_resent = lazy(metrics, "channel.hops_resent")
-        self._ctr_hops_delivered = lazy(metrics, "channel.hops_delivered")
-        self._ctr_duplicates = lazy(metrics, "channel.duplicates")
-        self._ctr_heldback = lazy(metrics, "channel.heldback")
-        self._ctr_forwarded = lazy(metrics, "channel.forwarded")
+        # Hot counters, resolved once instead of a registry lookup per hop:
+        # one lazy handle per name, shared by every channel of the bus, so
+        # counters that never fire don't appear in snapshots.
+        lazy = server.metrics.lazy_counter
+        self._ctr_hops_sent = lazy("channel.hops_sent")
+        self._ctr_cells_stamped = lazy("channel.cells_stamped")
+        self._ctr_hops_resent = lazy("channel.hops_resent")
+        self._ctr_hops_delivered = lazy("channel.hops_delivered")
+        self._ctr_duplicates = lazy("channel.duplicates")
+        self._ctr_heldback = lazy("channel.heldback")
+        self._ctr_forwarded = lazy("channel.forwarded")
         # the bus's observer (accounting, or a tracer); set by the bus
         self._obs: Optional["BusAccounting"] = None
 

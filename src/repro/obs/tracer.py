@@ -63,7 +63,7 @@ class Tracer(BusAccounting):
         observer = bus.cost_observer
         if observer is None:  # accounting off: count into a private registry
             super().__init__(bus, Registry())
-        else:  # share its handles (resolving them again costs boot time)
+        else:  # share its first-touch bundle maps: one bundle per server
             self.registry, self._sim = observer.registry, observer._sim
             self.notifications = observer.notifications
             self.delivery_ms = observer.delivery_ms

@@ -74,12 +74,13 @@ class Counter:
 class LazyCounter:
     """An interned counter handle that defers registration to first use.
 
-    Hot paths resolve ``registry.counter(name)`` once per component
+    Hot paths resolve ``registry.lazy_counter(name)`` once per component
     instead of once per event, but eager resolution would *register* the
     counter immediately and surface zero-valued keys in snapshots that
     lazily-looked-up counters never created. This handle keeps the
     registration lazy (snapshot key sets stay exactly as before) while
-    making the per-event cost a single attribute check.
+    making the per-event cost a single attribute check. The registry
+    hands out one handle per name, shared by every component.
     """
 
     __slots__ = ("_registry", "_name", "_counter")
@@ -180,6 +181,7 @@ class MetricsRegistry:
     def __init__(self):
         self._counters: Dict[str, Counter] = {}
         self._samples: Dict[str, Samples] = {}
+        self._lazy: Dict[str, LazyCounter] = {}
 
     def counter(self, name: str) -> Counter:
         counter = self._counters.get(name)
@@ -187,6 +189,14 @@ class MetricsRegistry:
             counter = Counter(name)
             self._counters[name] = counter
         return counter
+
+    def lazy_counter(self, name: str) -> LazyCounter:
+        """The one :class:`LazyCounter` handle of ``name``."""
+        handle = self._lazy.get(name)
+        if handle is None:
+            handle = LazyCounter(self, name)
+            self._lazy[name] = handle
+        return handle
 
     def samples(self, name: str) -> Samples:
         samples = self._samples.get(name)

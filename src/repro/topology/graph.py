@@ -28,28 +28,29 @@ def domain_graph(topology: Topology) -> nx.Graph:
     """Build the §4.2 domain interconnection graph.
 
     Vertices are domain ids; an edge carries the list of shared servers
-    under the ``"shared"`` attribute.
+    under the ``"shared"`` attribute. Built in one pass over the routers'
+    memberships, O(Σ|domain|); edges are inserted in (first, second)
+    domain order, so every traversal of the graph is reproducible.
     """
+    index = {domain_id: i for i, domain_id in enumerate(topology.domain_ids)}
+    shared: Dict[Tuple[int, int], List[int]] = {}
+    for server in topology.servers:
+        # a server's domains come in topology order: first < second
+        mine = [index[d.domain_id] for d in topology.domains_of(server)]
+        for at, first in enumerate(mine):
+            for second in mine[at + 1 :]:
+                shared.setdefault((first, second), []).append(server)
+    domain_ids = topology.domain_ids
     graph = nx.Graph()
-    graph.add_nodes_from(topology.domain_ids)
-    domains = topology.domains
-    for i, first in enumerate(domains):
-        first_members = set(first.servers)
-        for second in domains[i + 1 :]:
-            shared = sorted(first_members & set(second.servers))
-            if shared:
-                graph.add_edge(first.domain_id, second.domain_id, shared=shared)
+    graph.add_nodes_from(domain_ids)
+    for first, second in sorted(shared):
+        graph.add_edge(
+            domain_ids[first], domain_ids[second], shared=shared[first, second]
+        )
     return graph
 
 
-def find_domain_cycle(topology: Topology) -> Optional[List[str]]:
-    """Return one cycle of the domain graph (as a domain-id list), or
-    ``None`` when the graph is acyclic.
-
-    A pair of domains sharing two or more servers counts as a (length-2,
-    multigraph) cycle, for the reason given in the module docstring.
-    """
-    graph = domain_graph(topology)
+def _cycle_of(graph: nx.Graph) -> Optional[List[str]]:
     for first, second, data in graph.edges(data=True):
         if len(data["shared"]) > 1:
             return [first, second]
@@ -60,16 +61,33 @@ def find_domain_cycle(topology: Topology) -> Optional[List[str]]:
     return [edge[0] for edge in cycle_edges]
 
 
+def find_domain_cycle(topology: Topology) -> Optional[List[str]]:
+    """Return one cycle of the domain graph (as a domain-id list), or
+    ``None`` when the graph is acyclic.
+
+    A pair of domains sharing two or more servers counts as a (length-2,
+    multigraph) cycle, for the reason given in the module docstring.
+    """
+    return _cycle_of(domain_graph(topology))
+
+
 def _find_nested_domains(topology: Topology) -> Optional[Tuple[str, str]]:
-    """Return a (inner, outer) pair of nested domains, or ``None``."""
-    domains = topology.domains
-    for inner in domains:
-        inner_members = set(inner.servers)
-        for outer in domains:
-            if inner.domain_id == outer.domain_id:
-                continue
-            if inner_members <= set(outer.servers):
-                return inner.domain_id, outer.domain_id
+    """Return a (inner, outer) pair of nested domains, or ``None``: the
+    first inner domain, in topology order, and the first domain holding
+    all its members — the intersection of its members' domain lists."""
+    for inner in topology.domains:
+        members = iter(inner.servers)
+        outers = {d.domain_id for d in topology.domains_of(next(members))}
+        outers.discard(inner.domain_id)
+        for server in members:
+            if not outers:
+                break
+            outers.intersection_update(
+                d.domain_id for d in topology.domains_of(server)
+            )
+        if outers:
+            outer = next(d for d in topology.domain_ids if d in outers)
+            return inner.domain_id, outer
     return None
 
 
@@ -88,10 +106,10 @@ def validate_topology(topology: Topology) -> None:
             f"domain {inner!r} is nested inside {outer!r}; "
             "§4.2 assumes no domain is included in another"
         )
-    cycle = find_domain_cycle(topology)
+    graph = domain_graph(topology)
+    cycle = _cycle_of(graph)
     if cycle is not None:
         raise CyclicDomainGraphError(cycle)
-    graph = domain_graph(topology)
     if len(topology.domain_ids) > 1 and not nx.is_connected(graph):
         components = [sorted(c) for c in nx.connected_components(graph)]
         raise TopologyError(

@@ -201,6 +201,10 @@ class TestR008ObservationPurity:
         # the channel's typed `_obs` calls reach the tracer's overrides
         assert "repro.obs.tracer.Tracer.channel_commit" in roots
         assert any(root.startswith("repro.metrics.") for root in roots)
+        # the snapshot-time pull side, registered as bound methods from
+        # inside the accounting observer itself
+        assert "repro.mom.accounting.BusAccounting._collect" in roots
+        assert "repro.mom.accounting.BusAccounting._idle_rows" in roots
         closure = project.reachable_from(sorted(roots))
         assert len(closure) > len(roots)
         engine = effect_engine(project)

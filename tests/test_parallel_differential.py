@@ -149,7 +149,7 @@ def _explain_divergence(seq_bus, par_bus):
 
 def _differential(build, **config_kwargs):
     """Run ``build`` sequentially and sharded; the observations must match
-    byte for byte. Returns the parallel observation for extra checks.
+    byte for byte. Returns the sequential bus for extra checks.
 
     On a mismatch with tracing installed (REPRO_TRACE=1), the failure
     explains itself: the assertion message carries the causal diff of
@@ -171,7 +171,7 @@ def _differential(build, **config_kwargs):
             + _explain_divergence(seq_bus, par_bus)
         )
     assert par["causal"]
-    return par
+    return seq_bus
 
 
 # ----------------------------------------------------------------------
@@ -228,7 +228,11 @@ def test_crash_failover(victim):
         bus.schedule_crash(40.0, victim, 300.0)
         return bus, {"rtts": (driver, "rtts")}
 
-    _differential(build)
+    seq_bus = _differential(build)
+    # servers no edge touched hold no instruments: each shard renders
+    # their rows from the topology, and the merge above compared them
+    rows = seq_bus.cost_snapshot()["instruments"]
+    assert len(seq_bus.accounting) < len(rows)
 
 
 def test_partition_heal():

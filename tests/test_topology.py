@@ -6,11 +6,14 @@ from repro.errors import CyclicDomainGraphError, TopologyError
 from repro.topology import (
     Domain,
     Topology,
+    builders,
     domain_graph,
     find_domain_cycle,
     from_domain_map,
     validate_topology,
 )
+
+_RING6 = {d.domain_id: list(d.servers) for d in builders.ring(6, 3).domains}
 
 
 class TestDomain:
@@ -110,6 +113,41 @@ class TestValidation:
 
     def test_acyclic_graph_reports_no_cycle(self, figure2_topology):
         assert find_domain_cycle(figure2_topology) is None
+
+    @pytest.mark.parametrize(
+        "mapping, cycle, message",
+        [
+            pytest.param(
+                {"A": [0, 1], "B": [1, 2], "C": [2, 0]},
+                ["A", "B", "C"],
+                "domain interconnection graph has a cycle: A -> B -> C",
+                id="figure-4a-ring",
+            ),
+            pytest.param(
+                {"X": [1, 7], **_RING6},
+                ["X", "D0", "D1", "D2", "D3"],
+                "domain interconnection graph has a cycle: "
+                "X -> D0 -> D1 -> D2 -> D3",
+                id="chorded-ring",
+            ),
+            pytest.param(
+                {"p": [2, 3], "q": [0, 1, 2, 3], "r": [2, 3, 4], "s": [4, 5]},
+                ["p", "q"],
+                "domain 'p' is nested inside 'q'; "
+                "§4.2 assumes no domain is included in another",
+                id="nested-pair",
+            ),
+        ],
+    )
+    def test_reported_violation_is_pinned(self, mapping, cycle, message):
+        """The exact cycle and nested pair reported — the traversal order
+        of the domain graph and the nesting scan are part of the contract
+        (error messages, the sanitizer's cycle report)."""
+        topology = from_domain_map(mapping)
+        assert find_domain_cycle(topology) == cycle
+        with pytest.raises(TopologyError) as info:
+            validate_topology(topology)
+        assert str(info.value) == message
 
     def test_domain_graph_edges_carry_shared_servers(self, figure2_topology):
         graph = domain_graph(figure2_topology)
