@@ -16,10 +16,41 @@ from __future__ import annotations
 
 import abc
 import copy
-from typing import Any, Callable, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.errors import AgentError
 from repro.mom.identifiers import AgentId
+
+#: Exact types a state copy keeps by reference, as ``deepcopy`` does.
+_ATOMIC = frozenset({type(None), bool, int, float, complex, str, bytes, AgentId})
+#: Containers of atomic values, each with the C-level copy equal to its
+#: ``deepcopy``: a tuple comes back as itself; a set is rebuilt from its
+#: element list (``set.copy()`` keeps the table, so may iterate otherwise).
+_FLAT = {list: list.copy, dict: dict.copy, tuple: tuple, set: lambda s: set(list(s))}
+
+
+def _copy_state(state: Dict[str, Any]) -> Dict[str, Any]:
+    """Exactly ``copy.deepcopy(state)``, with plain data copied in C:
+    a :data:`_FLAT` container of exact :data:`_ATOMIC` keys and values (an
+    ``IntEnum`` does not qualify) takes one C-level copy, anything else
+    ``copy.deepcopy`` with one memo for the whole state. Fast copies are
+    registered in that memo, so aliasing comes out as ``deepcopy``'s."""
+    copied: Dict[str, Any] = {}
+    memo: Dict[int, Any] = {id(state): copied}
+    flat = _ATOMIC.issuperset
+    for key, value in state.items():
+        kind = type(value)
+        if kind in _ATOMIC:
+            copied[key] = value
+        elif id(value) in memo:
+            copied[key] = memo[id(value)]
+        elif kind in _FLAT and flat(map(type, value)) and (
+            kind is not dict or flat(map(type, value.values()))
+        ):
+            copied[key] = memo[id(value)] = _FLAT[kind](value)
+        else:
+            copied[key] = copy.deepcopy(value, memo)
+    return copied
 
 
 class ReactionContext:
@@ -102,17 +133,20 @@ class Agent(abc.ABC):
 
     def snapshot(self) -> Any:
         """Durable state; default captures the full ``__dict__`` minus the
-        identity. Override for leaner or custom persistence."""
+        identity, as a private copy equal to ``copy.deepcopy`` of it (see
+        :func:`_copy_state`; the engine calls this on every committed
+        reaction). Override for leaner or custom persistence."""
         state = {
             key: value
             for key, value in self.__dict__.items()
             if key != "_agent_id"
         }
-        return copy.deepcopy(state)
+        return _copy_state(state)
 
     def restore(self, snapshot: Any) -> None:
-        """Reload state saved by :meth:`snapshot` (crash recovery)."""
-        for key, value in copy.deepcopy(snapshot).items():
+        """Reload state saved by :meth:`snapshot` (crash recovery), bound
+        as a private copy so later mutation cannot reach the snapshot."""
+        for key, value in _copy_state(snapshot).items():
             setattr(self, key, value)
 
 

@@ -216,7 +216,7 @@ class Engine:
         )
 
     def _persist_agent(self, local: int) -> None:
-        # Agent.snapshot() hands over a private deep copy already.
+        # Agent.snapshot() hands over a private copy (deepcopy's result).
         self._server.store.save(
             f"engine.agent.{local}", self._agents[local].snapshot(), owned=True
         )

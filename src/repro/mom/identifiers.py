@@ -24,7 +24,7 @@ class AgentId:
     Application code addresses agents by :class:`AgentId` only — which
     domain(s) the home server belongs to is invisible, exactly as §5
     requires ("agent names must remain unchanged at the application
-    level").
+    level"). An id is a value (frozen, two ints): copies return it as is.
     """
 
     server: int
@@ -35,6 +35,12 @@ class AgentId:
             raise ConfigurationError(f"negative server id: {self.server}")
         if self.local < 0:
             raise ConfigurationError(f"negative local agent id: {self.local}")
+
+    def __copy__(self) -> "AgentId":
+        return self
+
+    def __deepcopy__(self, memo: dict) -> "AgentId":
+        return self
 
     def __repr__(self) -> str:
         return f"A{self.server}.{self.local}"

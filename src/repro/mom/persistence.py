@@ -6,7 +6,8 @@ communication in case of failure". This store models that durability:
 values survive :meth:`~repro.mom.server.AgentServer.crash`, while
 everything *not* written here is lost.
 
-Writes are synchronous snapshots (deep copies), so later in-memory
+Writes are synchronous private snapshots (a deep copy, or an owned value
+such as an agent's ``snapshot()``, which equals one), so later in-memory
 mutation cannot retroactively corrupt the "disk" — the property the
 crash-recovery tests rely on. Time cost of persistence is charged by the
 channel/engine through the :class:`~repro.simulation.costs.CostModel`;

@@ -25,6 +25,15 @@ Together with seeded, stream-keyed RNGs this makes every run bit-for-bit
 reproducible — and makes the sharded execution provably order-identical to
 the sequential one.
 
+Keys are unique by construction, so heap entries are plain tuples
+``(time, band, a, b, c, handle)`` compared in C that never reach the
+handle; a repeated key (only a :meth:`Simulator.schedule_arrival` caller
+can make one) raises :class:`~repro.errors.SimulationError` naming it.
+``schedule_setup``, ``schedule_local_at`` and ``schedule_arrival`` are the
+only ways into the heap: the e2e span tracer (``benchmarks/e2e/layers.py``)
+patches them by name and argument position, and
+``kernel.fired_per_scheduled`` counts their calls.
+
 :class:`Processor` models one server's single-threaded CPU (one JVM in the
 paper's setup): submitted work executes back to back, so a burst of sends —
 e.g. the broadcast of Figure 8 fanning out of server 0 — serializes exactly
@@ -33,8 +42,9 @@ as it did on the real machines.
 
 from __future__ import annotations
 
-import heapq
 import math
+from collections import Counter
+from heapq import heapify, heappop, heappush
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.errors import SimulationError
@@ -45,34 +55,29 @@ BAND_SETUP = 0
 BAND_LOCAL = 1
 BAND_ARRIVAL = 2
 
-EventKey = Tuple[float, int, int, int, int]
-
 
 class EventHandle:
-    """A scheduled callback; keep it to :meth:`cancel` the event."""
+    """A scheduled callback; keep it to :meth:`cancel` the event.
 
-    __slots__ = ("key", "fn", "args", "cancelled")
+    The last item of its heap entry ``(time, band, a, b, c, handle)``;
+    keys are unique, so it defines no ordering of its own.
+    """
 
-    def __init__(self, key: EventKey, fn: Callable, args: tuple):
-        self.key = key
+    __slots__ = ("time", "fn", "args", "cancelled")
+
+    def __init__(self, time: float, fn: Callable, args: tuple):
+        self.time = time
         self.fn = fn
         self.args = args
         self.cancelled = False
-
-    @property
-    def time(self) -> float:
-        return self.key[0]
 
     def cancel(self) -> None:
         """Prevent the event from firing (idempotent)."""
         self.cancelled = True
 
-    def __lt__(self, other: "EventHandle") -> bool:
-        return self.key < other.key
-
     def __repr__(self) -> str:
         state = "cancelled" if self.cancelled else "pending"
-        return f"EventHandle(t={self.key[0]:.3f}, key={self.key[1:]}, {state})"
+        return f"EventHandle(t={self.time:.3f}, {state})"
 
 
 class Simulator:
@@ -81,7 +86,7 @@ class Simulator:
 
     def __init__(self):
         self._now = 0.0
-        self._queue: List[EventHandle] = []
+        self._queue: List[Tuple[Any, ...]] = []
         self._setup_seq: Dict[int, int] = {}
         self._local_seq: Dict[int, int] = {}
         self._running = False
@@ -94,21 +99,19 @@ class Simulator:
 
     @property
     def processed_events(self) -> int:
-        """Events executed since construction (diagnostics)."""
+        """Events executed since construction, counted as each run returns."""
         return self._processed
 
     # ------------------------------------------------------------------
     # Scheduling
     # ------------------------------------------------------------------
 
-    def _push(self, key: EventKey, fn: Callable, args: tuple) -> EventHandle:
-        if key[0] < self._now:
-            raise SimulationError(
-                f"cannot schedule at {key[0]} before now={self._now}"
-            )
-        handle = EventHandle(key, fn, args)
-        heapq.heappush(self._queue, handle)
-        return handle
+    def _duplicate(self) -> SimulationError:
+        """A pop raised ``TypeError``: two queued keys tie, so it compared
+        their handles."""
+        counts = Counter(entry[:5] for entry in self._queue)
+        key = next(key for key, count in counts.items() if count > 1)
+        return SimulationError(f"duplicate event key {key}")
 
     def schedule(self, delay: float, fn: Callable, *args: Any) -> EventHandle:
         """Run ``fn(*args)`` ``delay`` ms from now (``delay >= 0``).
@@ -130,7 +133,11 @@ class Simulator:
         """Band-0 event attributed to ``owner`` (a server id, or -1)."""
         seq = self._setup_seq.get(owner, 0)
         self._setup_seq[owner] = seq + 1
-        return self._push((time, BAND_SETUP, owner, seq, 0), fn, args)
+        if time < self._now:
+            raise SimulationError(f"cannot schedule at {time} before now={self._now}")
+        handle = EventHandle(time, fn, args)
+        heappush(self._queue, (time, BAND_SETUP, owner, seq, 0, handle))
+        return handle
 
     def schedule_local(
         self, owner: int, delay: float, fn: Callable, *args: Any
@@ -146,7 +153,11 @@ class Simulator:
         """Band-1 event on ``owner``'s timeline at absolute time ``time``."""
         seq = self._local_seq.get(owner, 0)
         self._local_seq[owner] = seq + 1
-        return self._push((time, BAND_LOCAL, owner, seq, 0), fn, args)
+        if time < self._now:
+            raise SimulationError(f"cannot schedule at {time} before now={self._now}")
+        handle = EventHandle(time, fn, args)
+        heappush(self._queue, (time, BAND_LOCAL, owner, seq, 0, handle))
+        return handle
 
     def schedule_arrival(
         self,
@@ -162,9 +173,19 @@ class Simulator:
         ``link_seq`` is the sender-assigned per-``(src, dst)`` sequence; the
         resulting key is computable on any shard, which is what lets a
         remote shard inject the arrival with the exact key the sequential
-        kernel would have produced.
+        kernel would have produced. A queued key raises SimulationError.
         """
-        return self._push((time, BAND_ARRIVAL, dst, src, link_seq), fn, args)
+        if time < self._now:
+            raise SimulationError(f"cannot schedule at {time} before now={self._now}")
+        handle = EventHandle(time, fn, args)
+        entry = (time, BAND_ARRIVAL, dst, src, link_seq, handle)
+        try:
+            heappush(self._queue, entry)
+        except TypeError:  # a queued twin: undo the push, name the key
+            self._queue.remove(entry)
+            heapify(self._queue)
+            raise SimulationError(f"duplicate event key {entry[:5]}") from None
+        return handle
 
     # ------------------------------------------------------------------
     # Running
@@ -178,30 +199,10 @@ class Simulator:
 
         ``until`` is inclusive: events scheduled exactly at ``until`` fire.
         """
-        if self._running:
-            raise SimulationError("Simulator.run() re-entered")
-        self._running = True
-        fired = 0
-        try:
-            while self._queue:
-                if max_events is not None and fired >= max_events:
-                    break
-                head = self._queue[0]
-                if until is not None and head.time > until:
-                    break
-                heapq.heappop(self._queue)
-                if head.cancelled:
-                    continue
-                self._now = head.time
-                head.fn(*head.args)
-                fired += 1
-                self._processed += 1
-            if until is not None and (
-                not self._queue or self._queue[0].time > until
-            ):
-                self._now = max(self._now, until)
-        finally:
-            self._running = False
+        fired = self._fire(math.inf if until is None else until, True, max_events)
+        queue = self._queue
+        if until is not None and (not queue or queue[0][0] > until):
+            self._now = max(self._now, until)
         return fired
 
     def run_window(
@@ -215,25 +216,36 @@ class Simulator:
         Unlike :meth:`run`, the clock is left at the last fired event so
         later-injected arrivals at ``t >= bound`` still schedule cleanly.
         """
+        return self._fire(bound, False, max_events)
+
+    def _fire(
+        self, limit: float, inclusive: bool, max_events: Optional[int]
+    ) -> int:
+        """Fire events up to ``limit`` (included when ``inclusive``)."""
         if self._running:
             raise SimulationError("Simulator.run() re-entered")
         self._running = True
+        queue = self._queue
+        pop = heappop
+        budget = math.inf if max_events is None else max_events
         fired = 0
         try:
-            while self._queue:
-                if max_events is not None and fired >= max_events:
+            while queue and fired < budget:
+                entry = queue[0]
+                if entry[0] >= limit and (entry[0] > limit or not inclusive):
                     break
-                head = self._queue[0]
-                if head.time >= bound:
-                    break
-                heapq.heappop(self._queue)
-                if head.cancelled:
+                try:
+                    pop(queue)
+                except TypeError:
+                    raise self._duplicate() from None
+                handle = entry[5]
+                if handle.cancelled:
                     continue
-                self._now = head.time
-                head.fn(*head.args)
+                self._now = entry[0]
+                handle.fn(*handle.args)
                 fired += 1
-                self._processed += 1
         finally:
+            self._processed += fired
             self._running = False
         return fired
 
@@ -251,9 +263,12 @@ class Simulator:
 
         The shard coordinator's LBTS input."""
         queue = self._queue
-        while queue and queue[0].cancelled:
-            heapq.heappop(queue)
-        return queue[0].time if queue else math.inf
+        while queue and queue[0][5].cancelled:
+            try:
+                heappop(queue)
+            except TypeError:
+                raise self._duplicate() from None
+        return queue[0][0] if queue else math.inf
 
     @property
     def pending(self) -> int:

@@ -1,6 +1,11 @@
 """Unit tests for the discrete-event kernel and the processor model."""
 
+import math
+from collections import Counter
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import SimulationError
 from repro.simulation import Processor, Simulator
@@ -102,6 +107,121 @@ class TestSimulator:
             sim.schedule(float(i), lambda: None)
         assert sim.run(max_events=3) == 3
         assert sim.run() == 2
+
+    def test_duplicate_arrival_key_raises(self):
+        sim = Simulator()
+        sim.schedule_arrival(1.0, 2, 3, 7, lambda: None)
+        with pytest.raises(
+            SimulationError, match=r"duplicate event key \(1\.0, 2, 2, 3, 7\)"
+        ):
+            sim.schedule_arrival(1.0, 2, 3, 7, lambda: None)
+        # the refused push is undone: one event left, and it fires
+        assert sim.pending == 1
+        assert sim.run() == 1
+
+    def test_duplicate_key_found_only_by_a_pop_raises(self):
+        """The second twin's push never meets the first (its sift path
+        runs through an earlier event), so the tie surfaces on a pop."""
+        sim = Simulator()
+        fired = []
+        sim.schedule_at(0.0, fired.append, "a")
+        sim.schedule_at(1.0, fired.append, "b")
+        sim.schedule_arrival(3.0, 0, 1, 0, fired.append, "twin")
+        sim.schedule_arrival(3.0, 0, 1, 0, fired.append, "twin")
+        with pytest.raises(SimulationError, match="duplicate event key"):
+            sim.run()
+
+
+#: (kind, time, owner-or-dst, src, cancelled) — few owners and times, so
+#: keys collide on every prefix the bands allow
+_OPS = st.lists(
+    st.tuples(
+        st.sampled_from(("setup", "local", "arrival")),
+        st.sampled_from((0.0, 1.0, 2.5)),
+        st.integers(0, 2),
+        st.integers(0, 2),
+        st.booleans(),
+    ),
+    min_size=1,
+    max_size=40,
+)
+
+
+def _schedule(sim, ops, fire):
+    """Schedule ``ops`` through the three heap entry points, calling
+    ``fire(index)``; returns ``{index: key}`` of the events left live."""
+    setup_seq, local_seq, link_seq = Counter(), Counter(), Counter()
+    live = {}
+    for index, (kind, time, owner, src, cancelled) in enumerate(ops):
+        if kind == "setup":
+            key = (time, 0, owner, setup_seq[owner], 0)
+            setup_seq[owner] += 1
+            handle = sim.schedule_setup(time, owner, fire, index)
+        elif kind == "local":
+            key = (time, 1, owner, local_seq[owner], 0)
+            local_seq[owner] += 1
+            handle = sim.schedule_local_at(owner, time, fire, index)
+        else:
+            key = (time, 2, owner, src, link_seq[owner, src])
+            link_seq[owner, src] += 1
+            handle = sim.schedule_arrival(time, owner, src, key[4], fire, index)
+        if cancelled:
+            handle.cancel()
+        else:
+            live[index] = key
+    return live
+
+
+class TestEventOrderProperty:
+    """The kernel's contract: live events fire in sorted-key order, and
+    cancelled ones never do, whatever the mix of bands and owners."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(_OPS)
+    def test_run_fires_in_sorted_key_order(self, ops):
+        sim = Simulator()
+        fired = []
+        live = _schedule(sim, ops, fired.append)
+        assert sim.run() == len(live)
+        assert fired == sorted(live, key=live.get)
+        assert sim.processed_events == len(fired)
+        assert sim.pending == 0
+
+    @settings(max_examples=100, deadline=None)
+    @given(_OPS, st.sampled_from((0.0, 1.0, 2.0, 2.5, 3.0)))
+    def test_run_window_stops_strictly_below_bound(self, ops, bound):
+        sim = Simulator()
+        fired = []
+        live = _schedule(sim, ops, fired.append)
+        order = sorted(live, key=live.get)
+        assert sim.run_window(bound) == len(fired)
+        assert fired == [i for i in order if live[i][0] < bound]
+        assert sim.processed_events == len(fired)
+        # the earliest live event left, skipping cancelled heads
+        left = [live[i][0] for i in order if live[i][0] >= bound]
+        assert sim.next_event_time() == (left[0] if left else math.inf)
+
+    @settings(max_examples=100, deadline=None)
+    @given(_OPS, st.integers(0, 39))
+    def test_processed_counts_fired_when_a_callback_raises(self, ops, boom):
+        sim = Simulator()
+        fired = []
+
+        def fire(index):
+            if index == boom:
+                raise RuntimeError("boom")
+            fired.append(index)
+
+        live = _schedule(sim, ops, fire)
+        order = sorted(live, key=live.get)
+        if boom in live:
+            with pytest.raises(RuntimeError, match="boom"):
+                sim.run()
+            assert fired == order[: order.index(boom)]
+            assert sim.processed_events == len(fired)
+        sim.run()
+        assert fired == [i for i in order if i != boom]
+        assert sim.processed_events == len(fired)
 
 
 class TestProcessor:
