@@ -28,6 +28,7 @@ import json
 import os
 import sys
 import time
+from unittest import mock
 
 
 def _time(fn, repeat: int = 3):
@@ -80,14 +81,16 @@ def _run_churn(trace: bool = False, accounting: bool = True,
     from repro.simulation.network import UniformLatency
     from repro.topology import single_domain
 
-    mom = MessageBus(
-        BusConfig(
-            topology=single_domain(12),
-            seed=11,
-            latency=UniformLatency(0.1, 20.0),
-            accounting=accounting,
+    # REPRO_METRICS=0 is the one accounting switch, read at construction
+    off = {} if accounting else {"REPRO_METRICS": "0"}
+    with mock.patch.dict(os.environ, off):
+        mom = MessageBus(
+            BusConfig(
+                topology=single_domain(12),
+                seed=11,
+                latency=UniformLatency(0.1, 20.0),
+            )
         )
-    )
     if trace:
         from repro.obs.tracer import attach
 

@@ -17,7 +17,9 @@ ratio into ``BENCH_hotpath.json`` under ``metrics_overhead``, which
 """
 
 import gc
+import os
 import time
+from unittest import mock
 
 import pytest
 
@@ -27,18 +29,21 @@ from repro.mom.accounting import BusAccounting
 from repro.simulation.network import UniformLatency
 from repro.topology import single_domain
 
+_METRICS_OFF = {"REPRO_METRICS": "0"}
+
 
 def _churn(accounting=True, sends=25):
     """The export_bench hold-back churn scenario: 4 senders flood one
-    echo across a jittery 12-server domain."""
-    mom = MessageBus(
-        BusConfig(
-            topology=single_domain(12),
-            seed=11,
-            latency=UniformLatency(0.1, 20.0),
-            accounting=accounting,
+    echo across a jittery 12-server domain. ``accounting=False`` builds
+    the bus under ``REPRO_METRICS=0``, the one accounting switch."""
+    with mock.patch.dict(os.environ, {} if accounting else _METRICS_OFF):
+        mom = MessageBus(
+            BusConfig(
+                topology=single_domain(12),
+                seed=11,
+                latency=UniformLatency(0.1, 20.0),
+            )
         )
-    )
     echo_id = mom.deploy(EchoAgent(), 11)
     for src in range(4):
         sender = FunctionAgent(lambda ctx, s, p: None)
@@ -134,7 +139,7 @@ def test_overhead_budget_catches_slow_accounting(monkeypatch):
 
 
 def test_env_kill_switch(monkeypatch):
-    """REPRO_METRICS=0 disables accounting even with the config on."""
+    """REPRO_METRICS=0 in the environment disables accounting."""
     monkeypatch.setenv("REPRO_METRICS", "0")
     mom = _churn(accounting=True)
     assert mom.accounting is None

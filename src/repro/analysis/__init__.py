@@ -10,10 +10,10 @@ Two complementary halves:
   :mod:`repro.analysis.concurrency` (R013–R017) — violations you cannot
   merge. Run it with ``python -m repro.analysis lint src/``.
 - :mod:`repro.analysis.sanitizer` — an opt-in runtime sanitizer
-  (``REPRO_SANITIZE=1``) that wraps live clocks and the bus to catch
-  stamp-mutation-after-share, matrix-cell monotonicity violations,
-  holdback leaks at quiescence and causal-order violations while the
-  normal test suite runs.
+  (``REPRO_SANITIZE=1``) that wraps the bus's causal core and app-level
+  hooks to catch stamp-mutation-after-share, FIFO skips, matrix-cell
+  monotonicity violations, holdback leaks at quiescence and causal-order
+  violations while the normal test suite runs.
 """
 
 from repro.analysis.lint import (
@@ -26,7 +26,6 @@ from repro.analysis.lint import (
 from repro.analysis.rules import ALL_RULES, RULES_BY_ID
 from repro.analysis.sanitizer import (
     BusSanitizer,
-    ClockSanitizer,
     OrderChecker,
     SanitizerViolation,
     install,
@@ -43,7 +42,6 @@ __all__ = [
     "ALL_RULES",
     "RULES_BY_ID",
     "BusSanitizer",
-    "ClockSanitizer",
     "OrderChecker",
     "SanitizerViolation",
     "install",

@@ -4,7 +4,9 @@ The lint rules (:mod:`repro.analysis.rules`) catch invariant violations
 that are visible in the source; this module catches the ones that are
 only visible in a *running* bus. Set ``REPRO_SANITIZE=1`` and the test
 suite's conftest installs it; every :class:`~repro.mom.bus.MessageBus`
-constructed afterwards is instrumented:
+constructed afterwards is instrumented. The per-step checks sit on the
+seam where the channel asks every protocol question: its
+:class:`~repro.protocol.core.CausalCore`, wrapped by a checking core.
 
 - **Stamp freeze (write-after-publish).** ``prepare_send`` hands stamps
   the clock's live buffer copy-on-write; the protocol requires that the
@@ -12,12 +14,13 @@ constructed afterwards is instrumented:
   *original* stamp). The sanitizer fingerprints every published stamp and
   re-verifies the fingerprint at each use and at quiescence — the moral
   equivalent of a write-after-share check in a race sanitizer.
-- **Monotonicity.** Matrix cells only ever grow between restores; a
-  shadow matrix per clock detects any regression.
-- **FIFO pre-check.** A stamp handed to ``deliver`` must be the FIFO-next
-  message from its sender (``W[s][me] == M[s][me] + 1``); the sanitizer
-  reports the offending clock and cell *before* the clock's own
-  ``ClockError`` would fire with less context.
+- **Monotonicity.** Matrix cells only ever grow between crashes; a
+  shadow matrix per clock, re-baselined when its server's epoch moves,
+  detects any regression.
+- **FIFO pre-check.** A stamp handed to the core's ``merge`` must be the
+  FIFO-next message from its sender (``W[s][me] == M[s][me] + 1``); the
+  sanitizer reports the offending clock and cell *before* the clock's
+  own ``ClockError`` would fire with less context.
 - **Causal order (online).** The same vector-clock oracle that judges
   recorded traces (:class:`~repro.causality.order.DeliveryOracle`) is fed
   from the bus's app-level send/receive hooks and raises the moment a
@@ -45,6 +48,7 @@ from repro.clocks.matrix import MatrixStamp
 from repro.clocks.updates import UpdateStamp
 from repro.errors import ReproError
 from repro.mom.payloads import Notification
+from repro.protocol.core import CausalCore
 
 # Retain at most this many published-stamp fingerprints per bus; old
 # entries age out FIFO (long benchmark runs should not hoard memory).
@@ -147,38 +151,22 @@ class _StampRegistry:
         )
 
 
-class ClockSanitizer(CausalClock):
-    """Wraps one :class:`CausalClock`, checking every protocol step.
+class _Watch:
+    """One watched clock: its name in violations, its server, and a shadow
+    copy of its cells as of the server's epoch."""
 
-    Pure delegation plus checks — no simulated cost, no extra state the
-    protocol can observe. ``label`` names the wrapped clock in violations
-    (e.g. ``"server 3, domain 'D'"``).
-    """
+    __slots__ = ("label", "server", "epoch", "shadow")
 
-    # R023: a diagnostic wrapper, not a bootable protocol — it is never
-    # selected by name through the core registry.
-    protocol_exempt = "delegating sanitizer wrapper, not a protocol variant"
-
-    def __init__(
-        self, inner: CausalClock, label: str, registry: _StampRegistry
-    ) -> None:
-        self.inner = inner
+    def __init__(self, clock: CausalClock, label: str, server: Any) -> None:
         self.label = label
-        self.registry = registry
-        self._shadow: List[int] = self._read_matrix()
+        self.server = server
+        self.epoch = server.epoch
+        self.shadow = _cells(clock)
 
-    def _read_matrix(self) -> List[int]:
-        size = self.inner.size
-        return [
-            self.inner.cell(row, col)
-            for row in range(size)
-            for col in range(size)
-        ]
-
-    def _check_monotonic(self, operation: str) -> None:
-        size = self.inner.size
-        shadow = self._shadow
-        current = self._read_matrix()
+    def check_monotonic(self, clock: CausalClock, operation: str) -> None:
+        size = clock.size
+        shadow = self.shadow
+        current = _cells(clock)
         for idx in range(size * size):
             if current[idx] < shadow[idx]:
                 raise SanitizerViolation(
@@ -187,71 +175,83 @@ class ClockSanitizer(CausalClock):
                     f"regressed {shadow[idx]} -> {current[idx]} during "
                     f"{operation}; matrix cells only ever grow",
                 )
-        self._shadow = current
+        self.shadow = current
 
-    # -- CausalClock interface ----------------------------------------
 
-    @property
-    def size(self) -> int:
-        return self.inner.size
+def _cells(clock: CausalClock) -> List[int]:
+    size = clock.size
+    return [clock.cell(row, col) for row in range(size) for col in range(size)]
 
-    @property
-    def owner(self) -> int:
-        return self.inner.owner
 
-    def prepare_send(self, dest: int) -> Stamp:
-        stamp = self.inner.prepare_send(dest)
-        self._check_monotonic("prepare_send")
-        self.registry.publish(stamp, self.label)
+class _CheckingCore(CausalCore):
+    """Wraps the bus's core: checks each protocol step, then delegates.
+    No simulated cost, no state the protocol can observe; the clocks stay
+    unwrapped, so their own counters read as on a bare bus."""
+
+    def __init__(self, inner: CausalCore, registry: _StampRegistry) -> None:
+        self.inner = inner
+        self.registry = registry
+        self._watched: Dict[int, _Watch] = {}
+
+    def watch(self, clock: CausalClock, label: str, server: Any) -> None:
+        """Check ``clock`` from now on, naming it ``label`` in violations
+        (e.g. ``"server 3, domain 'D'"``)."""
+        self._watched[id(clock)] = _Watch(clock, label, server)
+
+    def _watch(self, clock: CausalClock) -> _Watch:
+        watch = self._watched[id(clock)]
+        epoch = watch.server.epoch
+        if watch.epoch != epoch:
+            # a crash since the last step: recovery restored the clock to
+            # its persisted image, and no core step runs on a crashed
+            # server, so re-baseline instead of flagging the rollback
+            watch.epoch = epoch
+            watch.shadow = _cells(clock)
+        return watch
+
+    def create_clock(self, size: int, owner: int) -> CausalClock:
+        return self.inner.create_clock(size, owner)
+
+    def stamp(self, clock: CausalClock, dest: int) -> Stamp:
+        watch = self._watch(clock)
+        stamp = self.inner.stamp(clock, dest)
+        watch.check_monotonic(clock, "prepare_send")
+        self.registry.publish(stamp, watch.label)
         return stamp
 
-    def can_deliver(self, stamp: Stamp) -> bool:
+    def deliverable(self, clock: CausalClock, stamp: Stamp) -> bool:
         self.registry.verify(stamp)
-        return self.inner.can_deliver(stamp)
+        return self.inner.deliverable(clock, stamp)
 
-    def deliver(self, stamp: Stamp) -> None:
+    def duplicate(self, clock: CausalClock, stamp: Stamp) -> bool:
         self.registry.verify(stamp)
-        me = self.inner.owner
+        return self.inner.duplicate(clock, stamp)
+
+    def merge(self, clock: CausalClock, stamp: Stamp) -> None:
+        watch = self._watch(clock)
+        self.registry.verify(stamp)
+        me = clock.owner
         shipped = stamp.entry(stamp.sender, me)
-        expected = self.inner.cell(stamp.sender, me) + 1
+        expected = clock.cell(stamp.sender, me) + 1
         if shipped is not None and shipped != expected:
             raise SanitizerViolation(
                 "fifo",
-                f"{self.label}: deliver() of a stamp from sender "
+                f"{watch.label}: deliver() of a stamp from sender "
                 f"{stamp.sender} with send-count {shipped}, but cell "
                 f"({stamp.sender}, {me}) expects {expected}; messages from "
                 "one sender must be delivered in FIFO order",
             )
-        self.inner.deliver(stamp)
-        self._check_monotonic("deliver")
+        self.inner.merge(clock, stamp)
+        watch.check_monotonic(clock, "deliver")
 
-    def is_duplicate(self, stamp: Stamp) -> bool:
-        self.registry.verify(stamp)
-        return self.inner.is_duplicate(stamp)
+    def holdback_key(self, stamp: Stamp) -> Tuple[int, int]:
+        return self.inner.holdback_key(stamp)
 
-    def cell(self, row: int, col: int) -> int:
-        return self.inner.cell(row, col)
-
-    def dirty_cells(self) -> int:
-        return self.inner.dirty_cells()
-
-    def clear_dirty(self) -> None:
-        self.inner.clear_dirty()
-
-    def snapshot(self) -> Any:
-        return self.inner.snapshot()
-
-    def sync_image(self) -> Any:
-        return self.inner.sync_image()
-
-    def restore(self, snapshot: Any) -> None:
-        self.inner.restore(snapshot)
-        # a restore legitimately rolls volatile state back to the last
-        # persisted image; re-baseline instead of flagging the rollback
-        self._shadow = self._read_matrix()
+    def next_expected(self, clock: CausalClock, sender: int) -> int:
+        return self.inner.next_expected(clock, sender)
 
     def __repr__(self) -> str:
-        return f"ClockSanitizer({self.inner!r})"
+        return f"_CheckingCore({self.inner!r})"
 
 
 class OrderChecker:
@@ -290,7 +290,7 @@ class BusSanitizer:
     def __init__(self, bus: Any, force_order_check: bool = False) -> None:
         self.bus = bus
         self.registry = _StampRegistry()
-        self.clocks: List[ClockSanitizer] = []
+        self.core: Optional[_CheckingCore] = None
         self.order_checker: Optional[OrderChecker] = None
         self._force_order_check = force_order_check
         self._attached = False
@@ -301,20 +301,18 @@ class BusSanitizer:
         self._attached = True
         bus = self.bus
         # non-causal cores (per-pair FIFO baseline) are exempt from both
-        # the clock wrappers and the order oracle: losing causal order is
+        # the checking core and the order oracle: losing causal order is
         # their documented behaviour, not a bug
         causal_core = bus.config.core.causal
         if causal_core:
+            core = _CheckingCore(bus.config.core, self.registry)
             for server in bus.servers.values():
-                for item in server.channel.domain_items.values():
-                    wrapper = ClockSanitizer(
-                        item.clock,
-                        f"server {server.server_id}, "
-                        f"domain {item.domain_id!r}",
-                        self.registry,
-                    )
-                    item._clock = wrapper
-                    self.clocks.append(wrapper)
+                sid = server.server_id
+                for domain_id, item in server.channel.domain_items.items():
+                    label = f"server {sid}, domain {domain_id!r}"
+                    core.watch(item.clock, label, server)
+                server.channel._core = core
+            self.core = core
         # Causal order is only promised on validated (acyclic) topologies;
         # the theorem tests boot cyclic ones where violations are the
         # expected observation, not a bug.

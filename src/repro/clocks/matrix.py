@@ -406,30 +406,5 @@ class MatrixClock(CausalClock):
         self._journal_full = True
         self._image = None
 
-    def grow(self, new_size: int) -> "MatrixClock":
-        """A fresh clock covering ``new_size`` servers with all recorded
-        knowledge preserved (the domain-resize hook behind
-        :meth:`repro.protocol.cores.MatrixCore.resize`).
-
-        The known s×s block is copied into the top-left of the grown
-        matrix; new rows/columns start at zero — no message involving a
-        new member has been seen, which is exactly what zero counts mean.
-        Growth is a quiescent-domain operation: stamps minted by the old
-        clock are not accepted by the grown one (the RST test is
-        shape-checked), so callers drain in-flight traffic first.
-        """
-        if new_size < self._size:
-            raise ClockError(
-                f"cannot shrink a matrix clock from {self._size} to {new_size}"
-            )
-        grown = MatrixClock(new_size, self._owner)
-        old = self._size
-        buf = self._buf
-        gbuf = grown._own_buf()
-        for row in range(old):
-            gbase = row * new_size
-            gbuf[gbase : gbase + old] = buf[row * old : (row + 1) * old]
-        return grown
-
     def __repr__(self) -> str:
         return f"MatrixClock(size={self._size}, owner={self._owner})"

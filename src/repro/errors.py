@@ -49,9 +49,8 @@ class ClockError(ReproError):
 
 
 class ProtocolError(ReproError):
-    """A causal-delivery core was misused: unknown core name, conflicting
-    registration, an unsupported hook (wire codec, domain resize), or a
-    malformed wire payload."""
+    """A causal-delivery core was misused: unknown core name or
+    conflicting registration."""
 
 
 class CausalityViolationError(ReproError):

@@ -22,9 +22,10 @@ Exposition: :func:`to_prometheus` (Prometheus text format),
 per-domain terminal dashboard (:func:`render_dashboard`), all available
 offline over dumped snapshots via ``python -m repro.metrics``.
 
-Disable switch: ``REPRO_METRICS=0`` in the environment (or
-``BusConfig(accounting=False)``) turns the whole surface off; untraced,
-the hot paths then pay one ``_obs is not None`` check per edge.
+Disable switch: ``REPRO_METRICS=0`` in the environment when a bus is
+built (the one switch, read by
+``repro.mom.accounting.accounting_enabled``) turns the whole surface off;
+untraced, the hot paths then pay one ``_obs is not None`` check per edge.
 """
 
 from repro.metrics.dashboard import render as render_dashboard

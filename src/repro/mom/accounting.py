@@ -19,7 +19,7 @@ Hot-path discipline:
 
 - each edge is one ``_obs is not None`` check at its call site (plus
   ``_obs.tracing`` for a tracer-only edge); with accounting disabled
-  (``REPRO_METRICS=0`` or ``BusConfig(accounting=False)``) and no
+  (``REPRO_METRICS=0``, read by :func:`accounting_enabled`) and no
   tracer, ``_obs`` is ``None`` and that compare is the whole cost;
 - an edge finds its handles by server and domain id — a dict lookup that
   resolves the server's bundles on a miss, no registry lookup, no
@@ -62,6 +62,7 @@ Instrument catalog (labels in braces; see ``docs/observability.md``):
 
 from __future__ import annotations
 
+import os
 from typing import (
     TYPE_CHECKING, Callable, Dict, Iterator, List, Optional, Tuple,
 )
@@ -77,6 +78,13 @@ if TYPE_CHECKING:
 
 #: Bytes per matrix-clock cell on the wire (``array('q')`` cells).
 CELL_BYTES = 8
+
+
+def accounting_enabled() -> bool:
+    """The one accounting switch, read when a bus is built: on unless
+    ``REPRO_METRICS=0`` is in the environment."""
+    return os.environ.get("REPRO_METRICS") != "0"
+
 
 #: A bundle's instruments: (field, name, kind, help, ``mode`` label or
 #: ``None``). The one source of both a resolved bundle's instruments and

@@ -16,7 +16,6 @@ traces the causality checkers consume:
 
 from __future__ import annotations
 
-import os
 from typing import TYPE_CHECKING, Any, Dict, Hashable, List, Optional
 
 from repro.causality.chains import Membership
@@ -29,7 +28,7 @@ from repro.causality.message import Message
 from repro.causality.trace import Trace
 from repro.errors import ConfigurationError, ServerCrashedError
 from repro.metrics.registry import Registry
-from repro.mom.accounting import BusAccounting
+from repro.mom.accounting import BusAccounting, accounting_enabled
 from repro.mom.agent import Agent
 from repro.mom.config import BusConfig
 from repro.mom.identifiers import AgentId
@@ -59,11 +58,11 @@ class MessageBus:
         self.rng = RngFactory(config.seed)
         self.metrics = MetricsRegistry()
         # Always-on cost accounting (repro.metrics): per-server/per-domain
-        # causality costs, exposed via cost_snapshot(). REPRO_METRICS=0 or
-        # BusConfig(accounting=False) turns it off.
-        self.accounting: Optional[Registry] = None
-        if config.accounting and os.environ.get("REPRO_METRICS") != "0":
-            self.accounting = Registry()
+        # causality costs, exposed via cost_snapshot(). REPRO_METRICS=0
+        # turns it off.
+        self.accounting: Optional[Registry] = (
+            Registry() if accounting_enabled() else None
+        )
         if shard is None:
             self.network = Network(
                 sim=self.sim,

@@ -75,15 +75,6 @@ class BusConfig:
     transport already acked their arrival, so only the channel can notice
     the missing transaction ACK. Doubles per retry, capped at 8× base."""
 
-    max_transport_attempts: int = 30
-    """Transport give-up threshold."""
-
-    accounting: bool = True
-    """Always-on causality-cost accounting (:mod:`repro.metrics`). On by
-    default — the hot-path cost is a preallocated-handle increment per
-    event. ``False`` (or ``REPRO_METRICS=0`` in the environment) disables
-    it entirely; hot paths then pay one ``is not None`` check per edge."""
-
     parallel: str = "off"
     """Sharded-parallel execution policy for :func:`repro.mom.parallel.make_bus`
     (docs/parallel.md): ``"off"`` runs the classic sequential kernel,

@@ -46,6 +46,7 @@ from repro.causality.checker import (
 from repro.causality.trace import Trace
 from repro.errors import ConfigurationError, SimulationError
 from repro.metrics.registry import Registry
+from repro.mom.accounting import accounting_enabled
 from repro.mom.agent import Agent
 from repro.mom.bus import MessageBus
 from repro.mom.config import BusConfig
@@ -373,11 +374,8 @@ class ShardedBus:
         self.sim = _SimClock()
         self.network = _NetworkStats(config.latency_model())
         self.metrics = MetricsRegistry()
-        self._accounting_enabled = (
-            config.accounting and os.environ.get("REPRO_METRICS") != "0"
-        )
         self.accounting: Optional[Registry] = (
-            Registry() if self._accounting_enabled else None
+            Registry() if accounting_enabled() else None
         )
         self.app_trace: Optional[Trace] = (
             Trace() if config.record_app_trace else None
@@ -571,7 +569,7 @@ class ShardedBus:
             metrics.merge_state(state["metrics"])
         self.metrics = metrics
 
-        if self._accounting_enabled:
+        if self.accounting is not None:
             registry = Registry()
             for state in states:
                 if state["accounting"] is not None:

@@ -44,7 +44,7 @@ class PersistentStore:
             cells: logical size of the write, in matrix cells, for the
                 disk-traffic accounting of §3's "high disk I/O activity".
             owned: the caller hands over a private or immutable snapshot
-                (e.g. a fresh ``clock.snapshot()`` or a dict of frozen
+                (e.g. a clock's ``sync_image()`` or a dict of frozen
                 envelopes); the store keeps it without copying. Only pass
                 True when no live reference can mutate the value later.
         """

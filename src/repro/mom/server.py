@@ -62,7 +62,6 @@ class AgentServer:
             endpoint=server_id,
             on_message=self.channel.on_packet,
             retransmit_ms=bus.config.retransmit_ms,
-            max_attempts=bus.config.max_transport_attempts,
         )
 
     # ------------------------------------------------------------------

@@ -14,23 +14,16 @@ more — every protocol decision goes through a *core*:
   :meth:`CausalCore.next_expected`) tells the channel which hold-back
   bucket a stamp belongs to and which single bucket per sender can
   possibly contain a deliverable message, preserving the O(1) wake-up
-  probe;
-- **wire codec** (:meth:`CausalCore.encode_stamp`,
-  :meth:`CausalCore.decode_stamp`) turns a stamp into a flat, picklable
-  tuple and back — the boundary a real (non-simulated) transport would
-  serialize at;
-- **resize** (:meth:`CausalCore.resize`) is the hook for growing a domain
-  without rebooting the bus (matrix clocks support it; cores for which
-  growth is meaningless raise).
+  probe.
 
-Why a class and not "just the clock"? The clock interface
-(:mod:`repro.clocks.base`) is the per-domain *state*; the core is the
-*algorithm family* — a stateless singleton that knows how to create,
-interrogate, serialize and migrate that state. Splitting them lets the
-static contract verifier (rules R018–R023 in
-:mod:`repro.analysis.contract`) and the small-scope model checker
-(:mod:`repro.analysis.model`) reason about every pluggable protocol from
-its registration site alone, before a single scenario runs.
+The core is the *algorithm family* — a stateless singleton that creates
+and interrogates the per-domain clock state
+(:mod:`repro.clocks.base`). Its surface is exactly the questions the
+channel asks on every hop, so the static contract verifier (rules
+R018–R023 in :mod:`repro.analysis.contract`), the small-scope model
+checker (:mod:`repro.analysis.model`), the trace replayer and the runtime
+sanitizer all drive or wrap one seam, and a new protocol implements only
+those questions.
 
 Cores are registered in :mod:`repro.protocol.registry` and looked up by
 :class:`~repro.mom.config.BusConfig` via ``clock_algorithm``.
@@ -42,11 +35,10 @@ import abc
 from typing import Tuple, Type
 
 from repro.clocks.base import CausalClock, Stamp
-from repro.errors import ProtocolError
 
 
 class CausalCore(abc.ABC):
-    """One causal-delivery protocol: clock factory, delivery tests, codec.
+    """One causal-delivery protocol: clock factory and delivery tests.
 
     Concrete cores are stateless singletons; all per-domain state lives in
     the :class:`~repro.clocks.base.CausalClock` instances they create.
@@ -81,15 +73,6 @@ class CausalCore(abc.ABC):
     def create_clock(self, size: int, owner: int) -> CausalClock:
         """A fresh domain clock for a domain of ``size`` servers, held by
         domain-local server ``owner``."""
-
-    def resize(self, clock: CausalClock, new_size: int) -> CausalClock:
-        """Grow ``clock`` to cover ``new_size`` servers, preserving all
-        recorded causal knowledge. Returns the grown clock (a new
-        instance; the caller rebinds). Cores without a growth story keep
-        this default and raise."""
-        raise ProtocolError(
-            f"core {self.name!r} does not support domain resize"
-        )
 
     # ------------------------------------------------------------------
     # Sender side
@@ -136,21 +119,6 @@ class CausalCore(abc.ABC):
         deliverable at ``clock.owner`` right now — the wake-up probe."""
         return clock.cell(sender, clock.owner) + 1
 
-    # ------------------------------------------------------------------
-    # Wire codec
-    # ------------------------------------------------------------------
-
-    @abc.abstractmethod
-    def encode_stamp(self, stamp: Stamp) -> Tuple:
-        """Flatten ``stamp`` to a plain tuple of ints/tuples — the wire
-        representation a real transport would serialize."""
-
-    @abc.abstractmethod
-    def decode_stamp(self, payload: Tuple) -> Stamp:
-        """Rebuild a stamp from :meth:`encode_stamp` output. The decoded
-        stamp must make the same protocol decisions as the original
-        (delta-merge fast paths may degrade to full merges)."""
-
     def __repr__(self) -> str:
         return f"{type(self).__name__}(name={self.name!r})"
 
@@ -160,8 +128,7 @@ class DelegatingCore(CausalCore):
 
     All four registered cores delegate this way today — the contract
     boundary exists so future cores (hybrid buffering, PC-broadcast)
-    *can* put protocol logic core-side. Still abstract: the wire codec is
-    per-stamp-format and stays with the concrete core.
+    *can* put protocol logic core-side.
     """
 
     def create_clock(self, size: int, owner: int) -> CausalClock:

@@ -1,122 +1,49 @@
 """The built-in causal cores: matrix, updates, histories, fifo.
 
 Each core pairs a clock class from :mod:`repro.clocks` or
-:mod:`repro.baselines` with a wire codec for its stamp format. Delivery
-behaviour is pure delegation (:class:`~repro.protocol.core.DelegatingCore`),
-so factoring the protocol behind the core boundary changes no simulation
-result — the differential tests pin bit-identity against the pre-core
-implementation.
+:mod:`repro.baselines` with its stamp class. Delivery behaviour is pure
+delegation (:class:`~repro.protocol.core.DelegatingCore`), so factoring
+the protocol behind the core boundary changes no simulation result — the
+differential tests pin bit-identity against the pre-core implementation.
 """
 
 from __future__ import annotations
 
-from array import array
-from typing import Tuple
-
-from repro.baselines.causal_histories import (
-    HistoryClock,
-    HistoryStamp,
-    _MessageRef,
-)
+from repro.baselines.causal_histories import HistoryClock, HistoryStamp
 from repro.baselines.local_fifo import FifoClock, FifoStamp
-from repro.clocks.base import CausalClock, Stamp
 from repro.clocks.matrix import MatrixClock, MatrixStamp
-from repro.clocks.updates import CellUpdate, UpdatesClock, UpdateStamp
-from repro.errors import ProtocolError
+from repro.clocks.updates import UpdatesClock, UpdateStamp
 from repro.protocol.core import DelegatingCore
 from repro.protocol.registry import register_core
 
 
-def _expect(stamp: Stamp, cls: type) -> None:
-    if not isinstance(stamp, cls):
-        raise ProtocolError(
-            f"expected {cls.__name__}, got {type(stamp).__name__}"
-        )
-
-
 class MatrixCore(DelegatingCore):
-    """§3's classic full-matrix algorithm (the paper's baseline stamping).
-
-    The wire format is the whole s×s matrix, row-major. Decoded stamps
-    drop the sender's change-log window, so receivers fall back to the
-    always-correct full merge — same decisions, same merged cells.
-    """
+    """§3's classic full-matrix algorithm (the paper's baseline stamping):
+    every stamp carries the whole s×s matrix."""
 
     name = "matrix"
     clock_cls = MatrixClock
     stamp_cls = MatrixStamp
 
-    def encode_stamp(self, stamp: Stamp) -> Tuple:
-        _expect(stamp, MatrixStamp)
-        return (stamp.sender, stamp.dest, stamp.size, tuple(stamp._buf))
-
-    def decode_stamp(self, payload: Tuple) -> MatrixStamp:
-        sender, dest, size, cells = payload
-        if len(cells) != size * size:
-            raise ProtocolError(
-                f"matrix stamp payload carries {len(cells)} cells, "
-                f"expected {size * size}"
-            )
-        return MatrixStamp(sender, dest, size, array("q", cells))
-
-    def resize(self, clock: CausalClock, new_size: int) -> MatrixClock:
-        if not isinstance(clock, MatrixClock):
-            raise ProtocolError(
-                f"expected MatrixClock, got {type(clock).__name__}"
-            )
-        return clock.grow(new_size)
-
 
 class UpdatesCore(DelegatingCore):
-    """Appendix A's Updates algorithm: delta stamps, identical delivery
-    semantics. The wire format is the modified-cell list."""
+    """Appendix A's Updates algorithm: delta stamps (the modified-cell
+    list), identical delivery semantics."""
 
     name = "updates"
     clock_cls = UpdatesClock
     stamp_cls = UpdateStamp
 
-    def encode_stamp(self, stamp: Stamp) -> Tuple:
-        _expect(stamp, UpdateStamp)
-        return (
-            stamp.sender,
-            stamp.dest,
-            tuple((u.row, u.col, u.value) for u in stamp.updates),
-        )
-
-    def decode_stamp(self, payload: Tuple) -> UpdateStamp:
-        sender, dest, cells = payload
-        return UpdateStamp(
-            sender,
-            dest,
-            tuple(CellUpdate(row, col, value) for row, col, value in cells),
-        )
-
 
 class HistoryCore(DelegatingCore):
     """Causal histories with pruning (§2's unbounded-history ancestor,
     :mod:`repro.baselines.causal_histories`). Registered so the baseline
-    boots on a real bus for head-to-head benches; the wire format ships
-    the ref, the pruned dependency set and the ack counter."""
+    boots on a real bus for head-to-head benches; a stamp carries the
+    ref, the pruned dependency set and the ack counter."""
 
     name = "histories"
     clock_cls = HistoryClock
     stamp_cls = HistoryStamp
-
-    def encode_stamp(self, stamp: Stamp) -> Tuple:
-        _expect(stamp, HistoryStamp)
-        ref = stamp.ref
-        deps = tuple(
-            sorted((d.src, d.dst, d.seq) for d in stamp.deps)
-        )
-        return ((ref.src, ref.dst, ref.seq), deps, stamp.acked)
-
-    def decode_stamp(self, payload: Tuple) -> HistoryStamp:
-        (src, dst, seq), deps, acked = payload
-        return HistoryStamp(
-            _MessageRef(src, dst, seq),
-            frozenset(_MessageRef(s, d, q) for s, d, q in deps),
-            acked,
-        )
 
 
 class FifoCore(DelegatingCore):
@@ -129,14 +56,6 @@ class FifoCore(DelegatingCore):
     clock_cls = FifoClock
     stamp_cls = FifoStamp
     causal = False
-
-    def encode_stamp(self, stamp: Stamp) -> Tuple:
-        _expect(stamp, FifoStamp)
-        return (stamp.sender, stamp.dest, stamp.seq)
-
-    def decode_stamp(self, payload: Tuple) -> FifoStamp:
-        sender, dest, seq = payload
-        return FifoStamp(sender, dest, seq)
 
 
 register_core(MatrixCore())

@@ -10,8 +10,6 @@ checker must reject this core with a hold-back-leak counterexample at a
 scope as small as n=2 servers, m=2 messages.
 """
 
-from typing import Tuple
-
 from repro.clocks.base import Stamp
 from repro.clocks.matrix import MatrixClock, MatrixStamp
 from repro.errors import ClockError
@@ -40,15 +38,6 @@ class DropRowCore(DelegatingCore):
     name = "droprow"
     clock_cls = DropRowClock
     stamp_cls = MatrixStamp
-
-    def encode_stamp(self, stamp: Stamp) -> Tuple:
-        return (stamp.sender, stamp.dest, stamp.size, tuple(stamp._buf))
-
-    def decode_stamp(self, payload: Tuple) -> MatrixStamp:
-        sender, dest, size, cells = payload
-        from array import array
-
-        return MatrixStamp(sender, dest, size, array("q", cells))
 
 
 CORE = DropRowCore()

@@ -9,8 +9,6 @@ message first. The model checker must reject this core with a
 causal-violation witness in both free-send and scripted mode.
 """
 
-from typing import Tuple
-
 from repro.clocks.base import Stamp
 from repro.clocks.matrix import MatrixClock, MatrixStamp
 from repro.protocol.core import DelegatingCore
@@ -37,15 +35,6 @@ class NoTransitiveCore(DelegatingCore):
     name = "notransitive"
     clock_cls = NoTransitiveClock
     stamp_cls = MatrixStamp
-
-    def encode_stamp(self, stamp: Stamp) -> Tuple:
-        return (stamp.sender, stamp.dest, stamp.size, tuple(stamp._buf))
-
-    def decode_stamp(self, payload: Tuple) -> MatrixStamp:
-        sender, dest, size, cells = payload
-        from array import array
-
-        return MatrixStamp(sender, dest, size, array("q", cells))
 
 
 CORE = NoTransitiveCore()

@@ -238,7 +238,7 @@ class TestLogTrimAndWindowMerge:
 
     def test_legacy_list_snapshot_restore(self):
         # restore() must still accept the seed's list-of-lists snapshot
-        # (old persisted images, and the exhaustive checker uses it).
+        # (old persisted images).
         mirror = Mirror("matrix", 3)
         mirror.send(0, 1)
         mirror.try_deliver(1, 0)

@@ -226,20 +226,6 @@ class TestSharedZeroBlock:
         assert clock.cell(0, 1) == 1 and clock.cell(1, 0) == 1
         self.assert_all_zero(bystanders)
 
-    def test_grow_copies_the_known_block_only(self):
-        # regression: grow() used to write the grown clock's buffer in
-        # place, which with a shared zero block would have corrupted every
-        # later clock of the grown size
-        bystanders = [MatrixClock(self.SIZE, i) for i in range(self.SIZE)]
-        clock, peer = MatrixClock(2, 0), MatrixClock(2, 1)
-        _send_and_deliver(clock, peer)
-        grown = clock.grow(self.SIZE)
-        assert grown.snapshot() == [
-            [0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0],
-        ]
-        grown.prepare_send(3)
-        self.assert_all_zero(bystanders)
-
     def test_stamp_of_a_first_send_does_not_see_the_zero_block(self):
         clock = MatrixClock(self.SIZE, 0)
         stamp = clock.prepare_send(1)

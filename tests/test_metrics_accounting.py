@@ -20,7 +20,6 @@ import json
 
 import pytest
 
-from repro.analysis import sanitizer
 from repro.metrics import read_json, to_prometheus, total, write_json
 from repro.metrics.__main__ import main as metrics_main
 from repro.mom import BusConfig, EchoAgent, MessageBus
@@ -103,31 +102,20 @@ def _sha(obj, **kwargs):
 
 #: What the boot-time accounting (every row an instrument) emitted for
 #: ``_mostly_idle_bus``: the final snapshot and dump, and a snapshot
-#: schedule (before the run, mid-run, final, dump). Under
-#: REPRO_SANITIZE=1 the clock wrappers hide the merge-mode counters
-#: (``clock_merges`` reads 0), so that mode has its own digests.
-_DIGESTS = {
-    False: (
-        "1b95ac08cbff69ecdf5d3abf7b6fecb9050f5a9e414ee3e5ad215e27f6141869",
-        "26f4a0688f27653a56cda5176539e9278c34eee900d58e54e462aa703f62036e",
-        [
-            "2f7a2fac94a2d4f1673b6228598b71283e396b9ac36eb3169bcc20e62206d845",
-            "eaf1255641eb4fea822098ce0d970504ead36efb6ae314ee84bececddd224b8c",
-            "2d8b39568fb1d1734741b3863fa0fc08b89f4efbfbe7a0ec6fb7188039a9be06",
-            "6852f1dcb8783bd0a1f2d23bde1b00ed155ba6022e4e80bb5a7cd84f13f433aa",
-        ],
-    ),
-    True: (
-        "6f432d0676717a44f92023f8b636da2f3c2f99af262b7b520842afff02194f38",
-        "06c67575583e9e4b1d7705364ac6cced1d9a5aecdb30b620ff6257229b6e58c2",
-        [
-            "2f7a2fac94a2d4f1673b6228598b71283e396b9ac36eb3169bcc20e62206d845",
-            "6a01f9c6716334a406e21c85bd7741461b9d7dd51de04b0f0d7aa02847a876a0",
-            "208ccfb167c72f385252d278323d7a11ad3a914d03dd91ccf4bb6532d5e8f658",
-            "dbe3e8092537e9c94e0c11dc7f7c60629cba143731a2a39eb09fefad25aa6bbf",
-        ],
-    ),
-}
+#: schedule (before the run, mid-run, final, dump). A sanitized bus
+#: (REPRO_SANITIZE=1) must reproduce them byte for byte.
+_FINAL_DIGEST = (
+    "1b95ac08cbff69ecdf5d3abf7b6fecb9050f5a9e414ee3e5ad215e27f6141869"
+)
+_DUMP_DIGEST = (
+    "26f4a0688f27653a56cda5176539e9278c34eee900d58e54e462aa703f62036e"
+)
+_SCHEDULE_DIGESTS = [
+    "2f7a2fac94a2d4f1673b6228598b71283e396b9ac36eb3169bcc20e62206d845",
+    "eaf1255641eb4fea822098ce0d970504ead36efb6ae314ee84bececddd224b8c",
+    "2d8b39568fb1d1734741b3863fa0fc08b89f4efbfbe7a0ec6fb7188039a9be06",
+    "6852f1dcb8783bd0a1f2d23bde1b00ed155ba6022e4e80bb5a7cd84f13f433aa",
+]
 
 
 class TestBootFollowsTraffic:
@@ -149,9 +137,8 @@ class TestBootFollowsTraffic:
         assert mom.check_app_causality().respects_causality
         snapshot = mom.cost_snapshot()
         assert len(mom.accounting) < len(snapshot["instruments"])
-        final, dump, _ = _DIGESTS[sanitizer.is_installed()]
-        assert _sha(snapshot, sort_keys=True) == final
-        assert _sha(mom.accounting.dump_state()) == dump
+        assert _sha(snapshot, sort_keys=True) == _FINAL_DIGEST
+        assert _sha(mom.accounting.dump_state()) == _DUMP_DIGEST
 
     def test_observation_schedule_matches_boot_time_accounting(self):
         """Snapshots before the run (QueueIN full of boot reactions no
@@ -164,7 +151,7 @@ class TestBootFollowsTraffic:
         mom.run_until_idle()
         digests.append(_sha(mom.cost_snapshot(), sort_keys=True))
         digests.append(_sha(mom.accounting.dump_state(), sort_keys=True))
-        assert digests == _DIGESTS[sanitizer.is_installed()][2]
+        assert digests == _SCHEDULE_DIGESTS
 
 
 class TestStampCostScaling:

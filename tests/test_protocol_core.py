@@ -1,15 +1,12 @@
-"""The CausalCore plug-in boundary: registry, delegation, codecs, resize.
+"""The CausalCore plug-in boundary: registry, delegation, config resolution.
 
 The simulation-level guarantee (factoring the protocol behind the core
 changed no result) is pinned by the differential and bench tests; this
 file covers the contract surface itself.
 """
 
-import pickle
-
 import pytest
 
-from repro.baselines.local_fifo import FifoClock
 from repro.clocks.matrix import MatrixClock
 from repro.errors import ConfigurationError, ProtocolError
 from repro.mom import BusConfig
@@ -111,78 +108,6 @@ class TestDelegation:
         assert core.next_expected(receiver, 0) == 1
         core.merge(receiver, stamp)
         assert core.next_expected(receiver, 0) == 2
-
-
-class TestWireCodec:
-    @pytest.mark.parametrize("name", ALL_CORE_NAMES)
-    def test_round_trip_preserves_protocol_decisions(self, name):
-        core = get_core(name)
-        sender = core.create_clock(3, 0)
-        stamps = [core.stamp(sender, 1) for _ in range(2)]
-        original = core.create_clock(3, 1)
-        decoded_side = core.create_clock(3, 1)
-        for stamp in stamps:
-            payload = core.encode_stamp(stamp)
-            # The wire form must be a plain picklable tuple.
-            assert isinstance(payload, tuple)
-            assert pickle.loads(pickle.dumps(payload)) == payload
-            decoded = core.decode_stamp(payload)
-            assert isinstance(decoded, core.stamp_cls)
-            assert decoded.sender == stamp.sender
-            assert decoded.dest == stamp.dest
-            assert core.deliverable(original, stamp) == core.deliverable(
-                decoded_side, decoded
-            )
-            if core.deliverable(original, stamp):
-                core.merge(original, stamp)
-                core.merge(decoded_side, decoded)
-            assert core.duplicate(original, stamp) == core.duplicate(
-                decoded_side, decoded
-            )
-
-    def test_re_encoding_a_decoded_stamp_is_stable(self):
-        for name in ALL_CORE_NAMES:
-            core = get_core(name)
-            sender = core.create_clock(2, 0)
-            payload = core.encode_stamp(core.stamp(sender, 1))
-            assert core.encode_stamp(core.decode_stamp(payload)) == payload
-
-    def test_matrix_codec_rejects_truncated_payload(self):
-        core = get_core("matrix")
-        sender = core.create_clock(2, 0)
-        sender_s, dest, size, cells = core.encode_stamp(core.stamp(sender, 1))
-        with pytest.raises(ProtocolError, match="cells"):
-            core.decode_stamp((sender_s, dest, size, cells[:-1]))
-
-    def test_codec_rejects_foreign_stamp(self):
-        matrix = get_core("matrix")
-        fifo_stamp = get_core("fifo").create_clock(2, 0).prepare_send(1)
-        with pytest.raises(ProtocolError, match="expected MatrixStamp"):
-            matrix.encode_stamp(fifo_stamp)
-
-
-class TestResize:
-    def test_matrix_core_grows_preserving_knowledge(self):
-        core = get_core("matrix")
-        clock = core.create_clock(2, 0)
-        core.merge(core.create_clock(2, 1), core.stamp(clock, 1))
-        grown = core.resize(clock, 4)
-        assert isinstance(grown, MatrixClock)
-        assert grown.size == 4
-        assert grown.owner == 0
-        assert grown.cell(0, 1) == clock.cell(0, 1)
-        assert grown.cell(3, 3) == 0
-
-    def test_matrix_core_resize_rejects_foreign_clock(self):
-        with pytest.raises(ProtocolError, match="MatrixClock"):
-            get_core("matrix").resize(FifoClock(2, 0), 4)
-
-    @pytest.mark.parametrize("name", ["updates", "histories", "fifo"])
-    def test_cores_without_a_growth_story_raise(self, name):
-        core = get_core(name)
-        clock = core.create_clock(2, 0)
-        with pytest.raises(ProtocolError, match="does not support"):
-            core.resize(clock, 4)
 
 
 class TestBusConfigResolution:

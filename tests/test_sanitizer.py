@@ -16,9 +16,9 @@ import pytest
 
 from repro.analysis.sanitizer import (
     BusSanitizer,
-    ClockSanitizer,
     OrderChecker,
     SanitizerViolation,
+    _CheckingCore,
     _StampRegistry,
     install,
     is_installed,
@@ -32,86 +32,185 @@ from repro.mom.config import BusConfig
 from repro.mom.identifiers import AgentId
 from repro.mom.payloads import Notification
 from repro.mom.workloads import PingPongDriver
+from repro.protocol import get_core
+from repro.simulation.network import UniformLatency
 from repro.topology.builders import bus as bus_topology
-from repro.topology.builders import from_domain_map
+from repro.topology.builders import from_domain_map, single_domain
 
 
-def wrapped_pair(clock_cls, size=3):
-    """Two sanitized clocks of one domain sharing a stamp registry."""
-    registry = _StampRegistry()
-    sender = ClockSanitizer(clock_cls(size, 0), "server 0, domain 'X'", registry)
-    receiver = ClockSanitizer(clock_cls(size, 1), "server 1, domain 'X'", registry)
-    return sender, receiver
+class _Host:
+    """The one thing the checking core reads off a server: its epoch."""
+
+    epoch = 0
+
+
+def checked_pair(core_name, size=3):
+    """A checking core watching two clocks of one domain on one host."""
+    core = _CheckingCore(get_core(core_name), _StampRegistry())
+    host = _Host()
+    sender = core.create_clock(size, 0)
+    receiver = core.create_clock(size, 1)
+    core.watch(sender, "server 0, domain 'X'", host)
+    core.watch(receiver, "server 1, domain 'X'", host)
+    return core, sender, receiver, host
 
 
 class TestStampFreeze:
     def test_mutating_published_matrix_stamp_names_clock_and_cell(self):
-        sender, receiver = wrapped_pair(MatrixClock)
-        stamp = sender.prepare_send(1)
+        core, sender, receiver, _ = checked_pair("matrix")
+        stamp = core.stamp(sender, 1)
         stamp._buf[2] = 99  # tamper with the COW-shared buffer
         with pytest.raises(SanitizerViolation) as excinfo:
-            receiver.can_deliver(stamp)
+            core.deliverable(receiver, stamp)
         message = str(excinfo.value)
         assert "stamp-mutation" in message
         assert "server 0, domain 'X'" in message
         assert "cell (0, 2)" in message
 
     def test_mutating_updates_stamp_detected(self):
-        sender, receiver = wrapped_pair(UpdatesClock)
-        stamp = sender.prepare_send(1)
+        core, sender, receiver, _ = checked_pair("updates")
+        stamp = core.stamp(sender, 1)
         stamp._updates = ()  # replace the published delta
         with pytest.raises(SanitizerViolation, match="stamp-mutation"):
-            receiver.can_deliver(stamp)
+            core.deliverable(receiver, stamp)
 
     def test_untouched_stamp_flows_through(self):
-        sender, receiver = wrapped_pair(MatrixClock)
-        stamp = sender.prepare_send(1)
-        assert receiver.can_deliver(stamp)
-        receiver.deliver(stamp)
+        core, sender, receiver, _ = checked_pair("matrix")
+        stamp = core.stamp(sender, 1)
+        assert core.deliverable(receiver, stamp)
+        assert not core.duplicate(receiver, stamp)
+        core.merge(receiver, stamp)
         assert receiver.cell(0, 1) == 1
 
     def test_quiesce_reverifies_every_retained_stamp(self):
-        registry = _StampRegistry()
-        clock = ClockSanitizer(MatrixClock(3, 0), "server 0", registry)
-        stamps = [clock.prepare_send(1) for _ in range(5)]
+        core, sender, _, _ = checked_pair("matrix")
+        stamps = [core.stamp(sender, 1) for _ in range(5)]
         stamps[2]._buf[0] = 41
         with pytest.raises(SanitizerViolation, match="stamp-mutation"):
-            registry.verify_all()
+            core.registry.verify_all()
 
 
 class TestClockChecks:
     def test_fifo_skip_raises_before_clock_error(self):
-        sender, receiver = wrapped_pair(MatrixClock)
-        sender.prepare_send(1)  # first message never delivered
-        second = sender.prepare_send(1)
-        with pytest.raises(SanitizerViolation, match="fifo"):
-            receiver.deliver(second)
+        core, sender, receiver, _ = checked_pair("matrix")
+        core.stamp(sender, 1)  # first message never delivered
+        second = core.stamp(sender, 1)
+        with pytest.raises(SanitizerViolation, match="fifo") as excinfo:
+            core.merge(receiver, second)
+        assert "server 1, domain 'X'" in str(excinfo.value)
+        assert "cell (0, 1) expects 1" in str(excinfo.value)
 
     def test_monotonicity_regression_detected(self):
-        registry = _StampRegistry()
-        clock = ClockSanitizer(MatrixClock(3, 0), "server 0", registry)
-        clock.prepare_send(1)
-        clock.inner._buf[clock.inner._size * 0 + 1] = 0  # regress a cell
-        with pytest.raises(SanitizerViolation, match="monotonicity"):
-            clock.prepare_send(2)
+        core, clock, _, _ = checked_pair("matrix")
+        core.stamp(clock, 1)
+        clock._buf[clock._size * 0 + 1] = 0  # regress a cell
+        with pytest.raises(SanitizerViolation, match="monotonicity") as exc:
+            core.stamp(clock, 2)
+        assert "server 0, domain 'X': cell (0, 1)" in str(exc.value)
 
     def test_restore_rebaselines_instead_of_flagging(self):
-        registry = _StampRegistry()
-        clock = ClockSanitizer(MatrixClock(3, 0), "server 0", registry)
+        core, clock, _, host = checked_pair("matrix")
         image = clock.sync_image()
-        clock.prepare_send(1)
-        clock.restore(image)  # legal rollback to the persisted image
-        clock.prepare_send(1)  # must not raise
+        core.stamp(clock, 1)
+        host.epoch += 1  # a crash, then recovery restores the clock
+        clock.restore(image)
+        core.stamp(clock, 1)  # must not raise
+
+    def test_rollback_without_a_crash_is_flagged(self):
+        core, clock, _, _ = checked_pair("matrix")
+        image = clock.sync_image()
+        core.stamp(clock, 1)
+        clock.restore(image)  # same epoch: no recovery explains it
+        with pytest.raises(SanitizerViolation, match="monotonicity"):
+            core.stamp(clock, 2)
 
     def test_delegation_preserves_protocol_surface(self):
-        sender, _ = wrapped_pair(UpdatesClock)
-        assert sender.size == 3
-        assert sender.owner == 0
-        stamp = sender.prepare_send(1)
+        inner = get_core("updates")
+        core, sender, receiver, _ = checked_pair("updates")
+        assert isinstance(sender, UpdatesClock)
+        assert (sender.size, sender.owner) == (3, 0)
+        stamp = core.stamp(sender, 1)
+        assert core.holdback_key(stamp) == inner.holdback_key(stamp)
+        assert core.next_expected(receiver, 0) == 1
+        core.merge(receiver, stamp)
+        assert core.next_expected(receiver, 0) == 2
         assert sender.dirty_cells() == 1
-        sender.clear_dirty()
-        assert sender.dirty_cells() == 0
         assert stamp.wire_cells >= 1
+
+
+def _leaky_prepare_send(original):
+    published = []
+
+    def prepare_send(self, dest):
+        if published:
+            published[-1]._buf[0] += 1  # write through a published stamp
+        stamp = original(self, dest)
+        published.append(stamp)
+        return stamp
+
+    return prepare_send
+
+
+def _regressing_deliver(original):
+    def deliver(self, stamp):
+        original(self, stamp)
+        if self.cell(0, 2) > 1:
+            self._own_buf()[2] = 0  # cell (0, 2) of the 3x3 matrix
+
+    return deliver
+
+
+#: (patched MatrixClock method, the mutant built from the original, the
+#: echo servers server 0 sends to, round robin)
+_MUTANTS = {
+    "stamp-mutation": ("prepare_send", _leaky_prepare_send, (1, 2)),
+    "fifo": ("can_deliver", lambda original: lambda self, s: True, (1,)),
+    "monotonicity": ("deliver", _regressing_deliver, (1, 2)),
+}
+
+
+def run_burst(echo_servers, sends=20):
+    """A sanitized 3-server domain over jittered links: server 0 sends
+    ``sends`` messages at boot to echo agents on ``echo_servers``."""
+    mom = MessageBus(
+        BusConfig(
+            topology=single_domain(3),
+            seed=5,
+            latency=UniformLatency(0.1, 20.0),
+        )
+    )
+    BusSanitizer(mom).attach()
+    echoes = [mom.deploy(EchoAgent(), server) for server in echo_servers]
+    sender = FunctionAgent(lambda ctx, s, p: None)
+
+    def boot(ctx):
+        for i in range(sends):
+            ctx.send(echoes[i % len(echoes)], i)
+
+    sender.on_boot = boot
+    mom.deploy(sender, 0)
+    mom.start()
+    mom.run_until_idle()
+    return mom
+
+
+class TestLiveBusMutants:
+    """Negative controls on a real bus: each broken clock step raises its
+    named kind, and the same run unmutated is silent."""
+
+    @pytest.mark.parametrize("kind", sorted(_MUTANTS))
+    def test_mutant_raises_its_kind(self, kind, monkeypatch):
+        method, mutant, echo_servers = _MUTANTS[kind]
+        original = getattr(MatrixClock, method)
+        monkeypatch.setattr(MatrixClock, method, mutant(original))
+        with pytest.raises(SanitizerViolation) as excinfo:
+            run_burst(echo_servers)
+        assert excinfo.value.kind == kind
+
+    @pytest.mark.parametrize("echo_servers", [(1,), (1, 2)])
+    def test_unmutated_run_is_silent(self, echo_servers):
+        mom = run_burst(echo_servers)
+        assert mom.check_app_causality().respects_causality
 
 
 def note(nid, sender, target, now=0.0):
@@ -308,6 +407,11 @@ class TestInstall:
             mom = MessageBus(
                 BusConfig(topology=topology, clock_algorithm="fifo")
             )
-            assert mom._sanitizer.clocks == []
+            assert mom._sanitizer.core is None
+            fifo = get_core("fifo")
+            assert all(
+                server.channel._core is fifo
+                for server in mom.servers.values()
+            )
         finally:
             uninstall()
