@@ -8,10 +8,8 @@ asymmetry the Updates algorithm introduces (cheap wire, same merge).
 
 import pytest
 
+from repro.bench.harness import run_holdback_churn
 from repro.clocks import MatrixClock, UpdatesClock
-from repro.mom import BusConfig, EchoAgent, FunctionAgent, MessageBus
-from repro.simulation.network import UniformLatency
-from repro.topology import single_domain
 
 SIZES = [10, 50, 150]
 
@@ -88,35 +86,11 @@ def test_deliver_merge_fan_in(benchmark, clock_cls, size):
     benchmark.extra_info["dirty_cells"] = receiver.dirty_cells()
 
 
-def _holdback_churn_run():
-    """A jittery single-domain run: 4 senders stream 25 messages each to
-    one receiver over a 200:1-spread latency distribution, so most hops
-    arrive out of FIFO order and sit in the hold-back store. Exercises the
-    (sender, seq)-indexed wake-up probe instead of the old full rescan."""
-    mom = MessageBus(
-        BusConfig(
-            topology=single_domain(12),
-            seed=11,
-            latency=UniformLatency(0.1, 20.0),
-        )
-    )
-    echo_id = mom.deploy(EchoAgent(), 11)
-    for src in range(4):
-        sender = FunctionAgent(lambda ctx, s, p: None)
-
-        def boot(ctx, echo_id=echo_id):
-            for i in range(25):
-                ctx.send(echo_id, i)
-
-        sender.on_boot = boot
-        mom.deploy(sender, src)
-    mom.start()
-    mom.run_until_idle()
-    return mom
-
-
 def test_holdback_churn(benchmark):
-    mom = benchmark(_holdback_churn_run)
+    """Most hops of the churn run arrive out of FIFO order and sit in
+    the hold-back store: exercises the (sender, seq)-indexed wake-up
+    probe instead of a full rescan."""
+    mom, _ = benchmark(run_holdback_churn)
     snapshot = mom.metrics.snapshot()
     assert snapshot["channel.heldback"] > 50, "churn scenario lost its bite"
     benchmark.extra_info["heldback"] = snapshot["channel.heldback"]

@@ -11,9 +11,9 @@ The claims that keep "always-on" honest:
    1.10x of the accounting-off run; a negative control pads one edge
    and checks the same measurement then fails.
 
-The companion exporter (``export_bench.py --metrics``) records the same
-ratio into ``BENCH_hotpath.json`` under ``metrics_overhead``, which
-``tools/bench_gate.py`` gates.
+The run is :func:`repro.bench.harness.run_holdback_churn`.
+``tests/test_bench_contract.py`` pins its simulated observables exactly
+and checks claim 1's bit-identity; this module times it.
 """
 
 import gc
@@ -24,39 +24,17 @@ from unittest import mock
 import pytest
 
 from conftest import bench_once
-from repro.mom import BusConfig, EchoAgent, FunctionAgent, MessageBus
+from repro.bench.harness import run_holdback_churn
 from repro.mom.accounting import BusAccounting
-from repro.simulation.network import UniformLatency
-from repro.topology import single_domain
 
 _METRICS_OFF = {"REPRO_METRICS": "0"}
 
 
 def _churn(accounting=True, sends=25):
-    """The export_bench hold-back churn scenario: 4 senders flood one
-    echo across a jittery 12-server domain. ``accounting=False`` builds
-    the bus under ``REPRO_METRICS=0``, the one accounting switch."""
+    """The churn run's bus; ``accounting=False`` builds it under
+    ``REPRO_METRICS=0``, the one accounting switch."""
     with mock.patch.dict(os.environ, {} if accounting else _METRICS_OFF):
-        mom = MessageBus(
-            BusConfig(
-                topology=single_domain(12),
-                seed=11,
-                latency=UniformLatency(0.1, 20.0),
-            )
-        )
-    echo_id = mom.deploy(EchoAgent(), 11)
-    for src in range(4):
-        sender = FunctionAgent(lambda ctx, s, p: None)
-
-        def boot(ctx, echo_id=echo_id):
-            for i in range(sends):
-                ctx.send(echo_id, i)
-
-        sender.on_boot = boot
-        mom.deploy(sender, src)
-    mom.start()
-    mom.run_until_idle()
-    return mom
+        return run_holdback_churn(sends=sends)[0]
 
 
 def test_accounted_churn(benchmark):
@@ -71,17 +49,6 @@ def test_unaccounted_churn(benchmark):
     mom = bench_once(benchmark, lambda: _churn(accounting=False))
     benchmark.extra_info["sim_ms"] = round(mom.sim.now, 3)
     assert mom.cost_snapshot() is None
-
-
-def test_accounting_is_observation_only():
-    """Same seed, same workload: accounted and disabled runs agree on
-    every simulated observable."""
-    off = _churn(accounting=False)
-    on = _churn(accounting=True)
-    assert on.metrics.snapshot() == off.metrics.snapshot()
-    assert on.sim.now == off.sim.now
-    assert on.total_persisted_cells() == off.total_persisted_cells()
-    assert on.cost_snapshot() is not None
 
 
 def _overhead(pairs=8):

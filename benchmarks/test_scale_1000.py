@@ -11,13 +11,26 @@ claims keep holding:
 - a deeper tree (fixed domain size, log-depth routing) beats the bus at
   this scale *on state* while paying more hops — the K vs K′ trade §6.2
   works out.
+
+The sharded kernel's own contract rides along at s = 150: the fan-in
+run's simulated observables and shard telemetry are pinned exactly, and
+on a host with at least four CPUs it must run ≥ 1.5× faster sharded
+than sequential.
 """
+
+import json
+import os
+import time
 
 import pytest
 
 from conftest import bench_once, record
 from repro.bench import run_remote_unicast
+from repro.mom.config import BusConfig
+from repro.mom.parallel import ShardedBus, make_bus
+from repro.mom.workloads import OpenLoopDriver, SinkAgent
 from repro.simulation.costs import CostModel
+from repro.topology import builders
 from repro.topology.cost import flat_unicast_cost
 
 N = 1000
@@ -100,3 +113,88 @@ def test_state_stays_tractable(benchmark):
     assert bus_result.clock_state_cells < flat_cells / 500
     # fixed-size tree domains hold even less state than √n bus domains
     assert tree_result.clock_state_cells < bus_result.clock_state_cells
+
+
+FAN_IN_WORKERS = 4
+
+
+def _fan_in(parallel, workers=0):
+    """The s = 150 fan-in: twelve open-loop senders spread over the leaf
+    domains, 40 sends each every 5 ms, all converging on one sink on
+    the last server; returns ``(bus, sink, wall_s)``."""
+    started = time.perf_counter()
+    topology = builders.bus(150)
+    bus = make_bus(
+        BusConfig(
+            topology=topology, seed=5, parallel=parallel, workers=workers
+        )
+    )
+    sink_server = topology.servers[-1]
+    sink = SinkAgent()
+    sink_id = bus.deploy(sink, sink_server)
+    plain = [
+        s for s in topology.servers
+        if not topology.is_router(s) and s != sink_server
+    ]
+    step = max(1, len(plain) // 12)
+    for src in plain[::step][:12]:
+        driver = OpenLoopDriver(period_ms=5.0, count=40)
+        driver.bind(sink_id)
+        bus.deploy(driver, src)
+    bus.start()
+    bus.run_until_idle()
+    return bus, sink, time.perf_counter() - started
+
+
+def _fan_in_observables(bus, sink):
+    return (
+        round(bus.sim.now, 6),
+        sink.received,
+        json.dumps(bus.cost_snapshot(), sort_keys=True),
+    )
+
+
+@pytest.fixture
+def config_controls_parallel(monkeypatch):
+    """The mode comes from the config, not from a suite-wide
+    ``REPRO_PARALLEL``; shard telemetry stays on."""
+    monkeypatch.delenv("REPRO_PARALLEL", raising=False)
+    monkeypatch.delenv("REPRO_SHARDMON", raising=False)
+
+
+def test_sharded_fan_in_contract(config_controls_parallel):
+    seq_bus, seq_sink, _ = _fan_in("off")
+    par_bus, par_sink, _ = _fan_in("auto", workers=FAN_IN_WORKERS)
+    assert isinstance(par_bus, ShardedBus), "fan-in fell back to sequential"
+    assert _fan_in_observables(par_bus, par_sink) == _fan_in_observables(
+        seq_bus, seq_sink
+    )
+    assert round(seq_bus.sim.now, 3) == 11159.143
+    assert seq_sink.received == 480
+    telemetry = par_bus.shard_telemetry()
+    sim = telemetry["sim"]
+    assert sim["grants"] == 3696
+    assert sim["events_total"] == 13899
+    assert sim["events_per_shard"][0] == 11021
+    assert sim["cross_shard"]["messages"] == 1690
+    assert sim["cross_shard"]["bytes"] >= 1
+    assert sim["window_width_ms"]["count"] == 3696
+    assert sim["window_width_ms"]["max"] == 1.0000000000000142
+    fraction = telemetry["wallclock"]["sync_overhead_fraction"]
+    print(f"grants {sim['grants']}, sync overhead fraction {fraction:.4f}")
+    assert 0.0 <= fraction <= 1.0
+
+
+def test_sharded_fan_in_speedup(config_controls_parallel):
+    """Best of two runs per side; only a host with at least as many CPUs
+    as workers can measure a parallel speedup honestly."""
+    cpus = os.cpu_count() or 1
+    if cpus < FAN_IN_WORKERS:
+        pytest.skip(f"host has {cpus} CPU(s); need >= {FAN_IN_WORKERS}")
+    sequential_s = min(_fan_in("off")[2] for _ in range(2))
+    sharded_s = min(
+        _fan_in("auto", workers=FAN_IN_WORKERS)[2] for _ in range(2)
+    )
+    speedup = sequential_s / sharded_s
+    print(f"speedup {speedup:.2f}x on {cpus} CPUs")
+    assert speedup >= 1.5, f"speedup {speedup:.2f}x < 1.5x"

@@ -11,53 +11,27 @@ Two claims to hold the tracer to:
    snapshot, sim time) must be bit-identical: the tracer never touches
    metrics, never schedules events, never draws randomness.
 
-The companion exporter (``export_bench.py --trace``) records the same
-ratio into ``BENCH_hotpath.json`` under ``trace_overhead``.
+The run is :func:`repro.bench.harness.run_holdback_churn`.
+``tests/test_bench_contract.py`` pins its simulated observables exactly
+and checks claim 2's bit-identity; this module times it.
 """
 
 import pytest
 
 from conftest import bench_once
-from repro.mom import BusConfig, EchoAgent, FunctionAgent, MessageBus
-from repro.obs.tracer import attach
-from repro.simulation.network import UniformLatency
-from repro.topology import single_domain
-
-
-def _churn(trace=False):
-    """The export_bench hold-back churn scenario: 4 senders flood one
-    echo across a jittery 12-server domain."""
-    mom = MessageBus(
-        BusConfig(
-            topology=single_domain(12),
-            seed=11,
-            latency=UniformLatency(0.1, 20.0),
-        )
-    )
-    tracer = attach(mom) if trace else None
-    echo_id = mom.deploy(EchoAgent(), 11)
-    for src in range(4):
-        sender = FunctionAgent(lambda ctx, s, p: None)
-
-        def boot(ctx, echo_id=echo_id):
-            for i in range(25):
-                ctx.send(echo_id, i)
-
-        sender.on_boot = boot
-        mom.deploy(sender, src)
-    mom.start()
-    mom.run_until_idle()
-    return mom, tracer
+from repro.bench.harness import run_holdback_churn
 
 
 def test_untraced_churn(benchmark):
-    mom, _ = bench_once(benchmark, _churn)
+    mom, _ = bench_once(benchmark, run_holdback_churn)
     benchmark.extra_info["sim_ms"] = round(mom.sim.now, 3)
     assert mom.check_app_causality().respects_causality
 
 
 def test_traced_churn(benchmark):
-    mom, tracer = bench_once(benchmark, lambda: _churn(trace=True))
+    mom, tracer = bench_once(
+        benchmark, lambda: run_holdback_churn(trace=True)
+    )
     benchmark.extra_info["sim_ms"] = round(mom.sim.now, 3)
     benchmark.extra_info["events"] = tracer.ring.next_seq
     benchmark.extra_info["histograms"] = len(tracer.histograms)
@@ -65,23 +39,13 @@ def test_traced_churn(benchmark):
     assert tracer.hist("holdback_dwell_ms").count > 0
 
 
-def test_tracing_is_observation_only():
-    """Same seed, same workload: traced and untraced runs agree on every
-    simulated observable."""
-    bare, _ = _churn()
-    traced, tracer = _churn(trace=True)
-    assert traced.metrics.snapshot() == bare.metrics.snapshot()
-    assert traced.sim.now == bare.sim.now
-    assert tracer.ring.next_seq > 0
-
-
 def test_overhead_ratio_bounded():
-    """Tracer overhead on the churn run stays within a generous bound.
+    """Tracer overhead on the churn run stays within 3x.
 
-    This is a smoke limit against pathological regressions (accidental
-    O(n) work per event, dump-on-every-record), not a tight perf gate:
-    CI machines are noisy, so we only fail beyond 10x.
-    """
+    A limit against pathological regressions (accidental O(n) work per
+    event, dump-on-every-record), not a tight perf gate: best-of-3 of
+    this measurement reads 1.0-1.5x on a 2-core x86 host, and CI
+    machines are noisy."""
     import time
 
     def best_of(fn, repeat=3):
@@ -92,10 +56,10 @@ def test_overhead_ratio_bounded():
             best = min(best, time.perf_counter() - start)
         return best
 
-    bare_s = best_of(lambda: _churn())
-    traced_s = best_of(lambda: _churn(trace=True))
-    assert traced_s < bare_s * 10, (
-        f"tracer overhead {traced_s / bare_s:.1f}x exceeds the 10x "
+    bare_s = best_of(run_holdback_churn)
+    traced_s = best_of(lambda: run_holdback_churn(trace=True))
+    assert traced_s < bare_s * 3.0, (
+        f"tracer overhead {traced_s / bare_s:.1f}x exceeds the 3x "
         "pathological-regression bound"
     )
 

@@ -25,11 +25,13 @@ The solutions the paper positions itself against fall in two families:
 
 - **locality-restricted clocks** — the FM-class reduction of
   Meldal–Sankar–Vera [19], pushed to per-pair FIFO counters in
-  :mod:`repro.baselines.local_fifo`; the model checker
-  (:mod:`repro.analysis.model`) proves §2's verdict that it "does not
-  ensure the global causal delivery of messages". It is the registered
-  ``fifo`` core, so it also boots into the MOM itself
-  (``clock_algorithm="fifo"``) for end-to-end demonstrations.
+  :mod:`repro.baselines.local_fifo`. The model checker
+  (:mod:`repro.analysis.model`) measures where it stops being causal:
+  it is admitted on trees of 2-server domains at the checked scope, and
+  rejected with a witness on cycles and on any domain of 3 or more
+  servers. It is the registered ``fifo`` core, so it also boots into
+  the MOM itself (``clock_algorithm="fifo"``) for end-to-end
+  demonstrations.
 
 ``benchmarks/test_baseline_broadcast.py`` puts the families side by side.
 """

@@ -4,18 +4,23 @@
 the clock by keeping "information about the set of processes with which
 [a process] may communicate". Taken to its extreme — each process tracks
 only per-partner send/delivery counters — the clock degenerates to
-per-channel FIFO, and as the paper notes, "this algorithm does not ensure
-the global causal delivery of messages": transitive dependencies through
-relays are invisible.
+per-channel FIFO: transitive dependencies through relays are invisible.
 
 :class:`FifoClock` implements exactly that degenerate clock behind the
 standard :class:`~repro.clocks.base.CausalClock` interface, registered as
-the ``fifo`` core, so the model checker (:mod:`repro.analysis.model`) can
-*prove* the §2 claim on this implementation: ``model fifo`` and the
-triangle-relay scenario both come back as a causal violation with a
-witness trace (see ``tests/test_model_checker.py``), while per-pair FIFO
-itself always holds. The stamp is a single integer — maximal wire savings, bought with
-the loss of the very property this library is about.
+the ``fifo`` core, so the model checker (:mod:`repro.analysis.model`)
+measures where causal delivery breaks (see ``tests/test_model_checker.py``):
+
+- between two servers, FIFO *is* causal order, so by Theorem 1 the core
+  is admitted on trees of 2-server domains (a path and a star of three
+  domains, two messages);
+- a relay inside one domain of 3 or more servers (``model fifo``, the
+  triangle-relay scenario) or a cycle of domains (the Figure 4a ring,
+  three messages) comes back as a causal violation with a witness.
+
+Per-pair FIFO itself always holds. The stamp is a single integer —
+maximal wire savings, bought with the property this library is about
+wherever a domain has three servers or the domain graph has a cycle.
 """
 
 from __future__ import annotations

@@ -28,7 +28,9 @@ from typing import Callable, Dict, List, Optional, Sequence
 from repro.bench.fits import FitResult, linear_fit, quadratic_fit
 from repro.bench.harness import (
     ExperimentResult,
+    _trace_extras,
     run_broadcast,
+    run_holdback_churn,
     run_local_unicast,
     run_remote_unicast,
 )
@@ -370,9 +372,11 @@ def trace_table(n: int = 50, rounds: int = 20) -> FigureResult:
 
     - ``fig10``: the n-server bus-of-domains remote unicast of Figure 10
       (multi-hop routing, ordered network — hold-back rarely engages);
-    - ``jittery``: a 12-server single domain under 0.1–20 ms uniform
-      latency with four concurrent senders, the adversarial arrival order
-      that drives messages through the hold-back queue.
+    - ``jittery``: the hold-back churn run
+      (:func:`~repro.bench.harness.run_holdback_churn`), a 12-server
+      single domain under 0.1–20 ms uniform latency with four concurrent
+      senders, the adversarial arrival order that drives messages
+      through the hold-back queue.
 
     Tracing is observation-only, so the fig10 turn-around matches the
     untraced Figure 10 point bit-for-bit.
@@ -403,7 +407,8 @@ def trace_table(n: int = 50, rounds: int = 20) -> FigureResult:
 
     result = run_remote_unicast(n, topology="bus", rounds=rounds, trace=True)
     add_rows("fig10", result.extras)
-    add_rows("jittery", _jittery_trace_extras())
+    _, tracer = run_holdback_churn(trace=True)
+    add_rows("jittery", _trace_extras(tracer))
     return FigureResult(
         figure="Trace",
         title=f"Latency decomposition of traced runs (fig10 n={n})",
@@ -415,44 +420,3 @@ def trace_table(n: int = 50, rounds: int = 20) -> FigureResult:
             "observation-only)",
         ],
     )
-
-
-def _jittery_trace_extras() -> Dict[str, float]:
-    """A traced hold-back churn run (the export_bench scenario): 4 senders
-    flood one echo across a jittery single domain, so arrivals are
-    out of order and the hold-back dwell histogram fills up."""
-    from repro.mom import BusConfig, EchoAgent, FunctionAgent, MessageBus
-    from repro.mom.workloads import PingPongDriver  # noqa: F401  (re-export)
-    from repro.obs.tracer import attach as _attach
-    from repro.simulation.network import UniformLatency
-    from repro.topology import single_domain
-
-    mom = MessageBus(
-        BusConfig(
-            topology=single_domain(12),
-            seed=11,
-            latency=UniformLatency(0.1, 20.0),
-        )
-    )
-    tracer = _attach(mom)
-    echo_id = mom.deploy(EchoAgent(), 11)
-    for src in range(4):
-        sender = FunctionAgent(lambda ctx, s, p: None)
-
-        def boot(ctx, echo_id=echo_id):
-            for i in range(25):
-                ctx.send(echo_id, i)
-
-        sender.on_boot = boot
-        mom.deploy(sender, src)
-    mom.start()
-    mom.run_until_idle()
-    extras: Dict[str, float] = {}
-    for name in sorted(tracer.histograms):
-        if "." in name:
-            continue
-        hist = tracer.histograms[name]
-        extras[f"{name}.count"] = float(hist.count)
-        for q in (50, 95, 99):
-            extras[f"{name}.p{q}"] = round(hist.percentile(q), 3)
-    return extras

@@ -10,7 +10,7 @@ resident clock state.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.baselines.causal_broadcast import BroadcastGroup
 from repro.mom.workloads import BroadcastDriver, PingPongDriver
@@ -332,3 +332,39 @@ def run_broadcast(
         "broadcast", bus, topology, clock, rounds, driver.mean_round_time,
         tracer,
     )
+
+
+def run_holdback_churn(
+    sends: int = 25, trace: bool = False
+) -> Tuple[MessageBus, Optional[Tracer]]:
+    """The hold-back churn run: four senders on servers 0-3 each send
+    ``sends`` notifications at boot to one echo agent on server 11 of a
+    12-server domain, over 0.1-20 ms uniform latency (seed 11), so most
+    hops arrive out of FIFO order and wait in the hold-back store.
+
+    ``trace`` attaches a tracer before any agent is deployed. Returns the
+    quiescent bus and its tracer (``None`` untraced)."""
+    from repro.mom.agent import FunctionAgent
+    from repro.simulation.network import UniformLatency
+
+    bus = MessageBus(
+        BusConfig(
+            topology=builders.single_domain(12),
+            seed=11,
+            latency=UniformLatency(0.1, 20.0),
+        )
+    )
+    tracer = attach_tracer(bus) if trace else None
+    echo_id = bus.deploy(EchoAgent(), 11)
+    for src in range(4):
+        sender = FunctionAgent(lambda ctx, s, p: None)
+
+        def boot(ctx: Any, echo_id: Any = echo_id) -> None:
+            for i in range(sends):
+                ctx.send(echo_id, i)
+
+        sender.on_boot = boot
+        bus.deploy(sender, src)
+    bus.start()
+    bus.run_until_idle()
+    return bus, tracer

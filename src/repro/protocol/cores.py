@@ -47,10 +47,12 @@ class HistoryCore(DelegatingCore):
 
 
 class FifoCore(DelegatingCore):
-    """Per-pair FIFO only — the deliberately broken §2 baseline
-    (:mod:`repro.baselines.local_fifo`). ``causal = False``: the model
-    checker's blanket admission run skips it, and checking it explicitly
-    prints the triangle-relay interleaving that voids causal delivery."""
+    """Per-pair FIFO only — the §2 baseline
+    (:mod:`repro.baselines.local_fifo`). Causal on trees of 2-server
+    domains at the checked scope, not on cycles or on any domain of 3 or
+    more servers. ``causal = False``: the model checker's blanket
+    admission run skips it, and checking it explicitly prints the
+    triangle-relay interleaving that voids causal delivery."""
 
     name = "fifo"
     clock_cls = FifoClock

@@ -18,8 +18,8 @@ instrument — two passive recorder classes, one per side of the pipe:
 
 The merged payload (:func:`merged`) keeps two strictly separated
 sections: ``"sim"`` holds **deterministic** sim-time observables — byte
-identical across repeated runs of the same scenario, band-checked by
-``tools/bench_gate.py`` — while ``"wallclock"`` holds the
+identical across repeated runs of the same scenario, pinned on the
+s=150 fan-in by ``benchmarks/test_scale_1000.py`` — while ``"wallclock"`` holds the
 **non-deterministic** ``time.perf_counter`` measurements (including the
 derived sync-overhead fraction). Keeping them apart is what lets
 profiled runs stay bit-identical in every deterministic artifact.

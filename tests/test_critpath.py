@@ -1,11 +1,11 @@
 """The critical-path profiler: exact attribution, the run-level walk,
 the CLI, and the Chrome-trace overlay.
 
-The headline contract (gated in ``tools/bench_baseline.json`` too): for
-every delivered message, the five categories {transit, hop_relay,
-causal_holdback, queue, processing} sum to the measured end-to-end
-sim-time latency *bit-identically* — no float slack, on routed and
-held-back deliveries alike.
+The headline contract (also pinned on the traced churn run by
+``tests/test_bench_contract.py``): for every delivered message, the five
+categories {transit, hop_relay, causal_holdback, queue, processing} sum
+to the measured end-to-end sim-time latency *bit-identically* — no
+float slack, on routed and held-back deliveries alike.
 """
 
 import json

@@ -238,6 +238,30 @@ class TestTheoremOne:
         assert len(result.trace) == 5
         assert not check_trace(result.witness).respects_causality
 
+    @pytest.mark.parametrize(
+        "domains, states",
+        [
+            ({"A": [0, 1], "B": [1, 2], "C": [2, 3]}, 255),
+            ({"A": [0, 1], "B": [0, 2], "C": [0, 3]}, 248),
+        ],
+        ids=["path", "star"],
+    )
+    def test_fifo_admitted_on_trees_of_two_server_domains(
+        self, domains, states
+    ):
+        # between two servers FIFO is causal order, so Theorem 1 applies
+        topology = from_domain_map(domains)
+        result = check_topology(get_core("fifo"), topology, messages=2)
+        assert result.ok, result.format()
+        assert result.states == states
+
+    def test_fifo_rejected_on_the_figure_4a_ring(self):
+        topology = from_domain_map({"A": [0, 1], "B": [1, 2], "C": [2, 0]})
+        result = check_topology(get_core("fifo"), topology, messages=3)
+        assert result.kind == "causal-violation"
+        assert result.states == 209
+        assert not check_trace(result.witness).respects_causality
+
 
 @functools.lru_cache(maxsize=None)
 def run_scenario(scenario, core):

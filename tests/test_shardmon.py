@@ -2,9 +2,9 @@
 
 The contract under test (docs/parallel.md): the merged payload keeps a
 **deterministic** ``sim`` section — byte-identical across repeated runs
-of the same scenario, the part ``tools/bench_gate.py`` bands — strictly
-separated from the **non-deterministic** ``wallclock`` section, and a
-monitored run stays bit-identical to a bare one. The worker-crash path
+of the same scenario, the part ``benchmarks/test_scale_1000.py`` pins —
+strictly separated from the **non-deterministic** ``wallclock``
+section, and a monitored run stays bit-identical to a bare one. The worker-crash path
 rides along: a shard worker that dies ships its flight record over the
 pipe, and the re-raised error names the artifact.
 """

@@ -1,61 +1,38 @@
 #!/usr/bin/env python3
-"""The perf-regression gate: compare committed ``BENCH_*.json`` snapshots
-against ``tools/bench_baseline.json`` tolerance bands.
+"""The wall-clock gate: time live commands against the bands in
+``tools/bench_baseline.json``.
 
-The baseline is a schema'd list of checks over dotted paths into the
-benchmark JSON documents::
+The baseline is a schema'd list of bands::
 
     {
-     "format": "repro.bench-gate/v1",
-     "targets": [
-      {"file": "BENCH_hotpath.json",
-       "checks": [
-        {"path": "metrics.s16.flat.stamp_bytes_per_msg", "expect": 2048.0},
-        {"path": "metrics_overhead.overhead_ratio", "max": 1.10},
-        {"path": "speedup.pingpong_matrix_s150", "min": 2.0}
-       ]}
+     "format": "repro.bench-gate/v2",
+     "runtime": [
+      {"name": "analysis-lint-cold",
+       "argv": ["{python}", "-m", "repro.analysis", "lint", "src",
+                "--cache", "{cache}"],
+       "env": {"PYTHONPATH": "src"},
+       "max_seconds": 10.0}
      ]
     }
 
-Check kinds (exactly one per check, plus the mandatory ``path``):
+Each entry spawns ``argv`` in the repo root (placeholders: ``{python}``
+→ this interpreter, ``{cache}`` → a fresh per-entry temp file) with
+``env`` merged over the inherited environment, and fails if the
+command exits non-zero or the wall clock exceeds ``max_seconds``.
+``"warmup": true`` runs the command once untimed first (so a
+cache-backed entry measures the warm path); ``"best_of": N`` takes the
+fastest of N timed runs to damp scheduler noise.
 
-- ``expect`` — value must equal the expectation; optional ``rtol`` /
-  ``atol`` widen the comparison for numbers (both default to 0, i.e.
-  exact: right for simulated-time observables, which are deterministic).
-- ``min`` / ``max`` — numeric bound (inclusive). Use for wall-clock
-  ratios, which are noisy: bound, don't pin.
-- a missing path fails the gate (the schema is part of the contract)
-  unless the check carries ``"optional": true``.
+Simulated observables are deterministic, so they are not banded here:
+``tests/test_bench_contract.py`` pins them exactly on the live tree.
 
-Besides snapshot checks, the baseline may carry a ``"runtime"`` list of
-wall-clock bands over live commands — used to keep the whole-program
-linter inside its cold/warm time budget::
+Exit status 0 when every band holds, 1 otherwise::
 
-    "runtime": [
-     {"name": "analysis-lint-cold",
-      "argv": ["{python}", "-m", "repro.analysis", "lint", "src",
-               "--cache", "{cache}"],
-      "env": {"PYTHONPATH": "src"},
-      "max_seconds": 10.0}
-    ]
-
-Each entry spawns ``argv`` (placeholders: ``{python}`` → this
-interpreter, ``{cache}`` → a fresh per-entry temp file, ``{root}`` →
-the snapshot root) with ``env`` merged over the inherited environment,
-and fails if the command exits non-zero or the wall clock exceeds
-``max_seconds``. ``"warmup": true`` runs the command once untimed first
-(so a cache-backed entry measures the warm path); ``"best_of": N``
-takes the fastest of N timed runs to damp scheduler noise.
-
-Exit status 0 when every check passes, 1 otherwise — wire it into CI
-after the benchmarks export fresh snapshots, or run it bare against the
-committed ones:
-
-    python tools/bench_gate.py
+    python tools/bench_gate.py -v
     python tools/bench_gate.py --baseline tools/bench_baseline.json --root .
-    python tools/bench_gate.py --no-runtime   # snapshot checks only
 
-Stdlib-only on purpose: the gate must run before/without PYTHONPATH.
+The gate itself is stdlib-only; the commands it times import ``repro``
+and so need its dependencies (numpy, networkx).
 """
 
 from __future__ import annotations
@@ -67,76 +44,9 @@ import subprocess
 import sys
 import tempfile
 import time
-from typing import Any, Dict, List, Tuple
+from typing import Dict, List, Tuple
 
-FORMAT = "repro.bench-gate/v1"
-
-_MISSING = object()
-
-
-def resolve(doc: Any, path: str) -> Any:
-    """Walk a dotted path through dicts (and list indices)."""
-    node = doc
-    for part in path.split("."):
-        if isinstance(node, dict):
-            if part not in node:
-                return _MISSING
-            node = node[part]
-        elif isinstance(node, list):
-            try:
-                node = node[int(part)]
-            except (ValueError, IndexError):
-                return _MISSING
-        else:
-            return _MISSING
-    return node
-
-
-def check_one(doc: Any, check: dict) -> Tuple[bool, str]:
-    """Run one check; returns (ok, human-readable verdict)."""
-    path = check["path"]
-    value = resolve(doc, path)
-    if value is _MISSING:
-        if check.get("optional"):
-            return True, f"SKIP  {path} (absent, optional)"
-        return False, f"FAIL  {path}: missing from snapshot"
-    if "expect" in check:
-        expect = check["expect"]
-        rtol = float(check.get("rtol", 0.0))
-        atol = float(check.get("atol", 0.0))
-        if isinstance(expect, (int, float)) and not isinstance(expect, bool):
-            if not isinstance(value, (int, float)) or isinstance(value, bool):
-                return False, (
-                    f"FAIL  {path}: expected number {expect}, got {value!r}"
-                )
-            band = max(atol, rtol * abs(float(expect)))
-            if abs(float(value) - float(expect)) <= band:
-                return True, f"ok    {path} = {value} (expect {expect}±{band:g})"
-            return False, (
-                f"FAIL  {path} = {value}, expected {expect} "
-                f"± {band:g} (rtol={rtol}, atol={atol})"
-            )
-        if isinstance(expect, bool) and not isinstance(value, bool):
-            return False, f"FAIL  {path} = {value!r}, expected {expect!r}"
-        if value == expect:
-            return True, f"ok    {path} = {value!r}"
-        return False, f"FAIL  {path} = {value!r}, expected {expect!r}"
-    if "min" in check or "max" in check:
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
-            return False, f"FAIL  {path}: bound check on non-number {value!r}"
-        lo = check.get("min")
-        hi = check.get("max")
-        if lo is not None and float(value) < float(lo):
-            return False, f"FAIL  {path} = {value} < min {lo}"
-        if hi is not None and float(value) > float(hi):
-            return False, f"FAIL  {path} = {value} > max {hi}"
-        bounds = []
-        if lo is not None:
-            bounds.append(f">= {lo}")
-        if hi is not None:
-            bounds.append(f"<= {hi}")
-        return True, f"ok    {path} = {value} ({', '.join(bounds)})"
-    return False, f"FAIL  {path}: check has no expect/min/max"
+FORMAT = "repro.bench-gate/v2"
 
 
 def run_runtime_entry(
@@ -152,7 +62,6 @@ def run_runtime_entry(
         subst: Dict[str, str] = {
             "python": sys.executable,
             "cache": os.path.join(tmp, "cache.json"),
-            "root": root,
         }
         argv = [arg.format(**subst) for arg in entry["argv"]]
         runs = rounds + (1 if entry.get("warmup") else 0)
@@ -180,11 +89,16 @@ def run_runtime_entry(
     return True, f"ok    runtime {name} = {best:.2f}s (<= {limit:g}s)"
 
 
-def _validate_runtime(baseline: dict) -> List[str]:
+def validate_baseline(baseline: dict) -> List[str]:
+    """Schema errors in the baseline itself (a broken gate must not pass)."""
     errors = []
-    runtime = baseline.get("runtime", [])
-    if not isinstance(runtime, list):
-        return ["'runtime' must be a list"]
+    if baseline.get("format") != FORMAT:
+        errors.append(
+            f"baseline format {baseline.get('format')!r} != {FORMAT!r}"
+        )
+    runtime = baseline.get("runtime")
+    if not isinstance(runtime, list) or not runtime:
+        return errors + ["'runtime' must be a non-empty list"]
     for ri, entry in enumerate(runtime):
         where = f"runtime[{ri}]"
         if not isinstance(entry, dict):
@@ -215,44 +129,7 @@ def _validate_runtime(baseline: dict) -> List[str]:
     return errors
 
 
-def validate_baseline(baseline: dict) -> List[str]:
-    """Schema errors in the baseline itself (a broken gate must not pass)."""
-    errors = []
-    if baseline.get("format") != FORMAT:
-        errors.append(
-            f"baseline format {baseline.get('format')!r} != {FORMAT!r}"
-        )
-    errors.extend(_validate_runtime(baseline))
-    targets = baseline.get("targets")
-    if not isinstance(targets, list) or not targets:
-        errors.append("baseline has no targets")
-        return errors
-    for ti, target in enumerate(targets):
-        if not isinstance(target.get("file"), str):
-            errors.append(f"targets[{ti}]: missing 'file'")
-        checks = target.get("checks")
-        if not isinstance(checks, list) or not checks:
-            errors.append(f"targets[{ti}]: missing 'checks'")
-            continue
-        for ci, check in enumerate(checks):
-            where = f"targets[{ti}].checks[{ci}]"
-            if not isinstance(check, dict) or "path" not in check:
-                errors.append(f"{where}: missing 'path'")
-                continue
-            kinds = [k for k in ("expect", "min", "max") if k in check]
-            if "expect" in kinds and len(kinds) > 1:
-                errors.append(f"{where}: 'expect' excludes min/max")
-            if not kinds:
-                errors.append(f"{where}: needs expect, min or max")
-    return errors
-
-
-def run_gate(
-    baseline_path: str,
-    root: str,
-    verbose: bool = False,
-    runtime: bool = True,
-) -> int:
+def run_gate(baseline_path: str, root: str, verbose: bool = False) -> int:
     with open(baseline_path) as stream:
         baseline = json.load(stream)
     schema_errors = validate_baseline(baseline)
@@ -261,42 +138,23 @@ def run_gate(
             print(f"FAIL  baseline schema: {error}")
         return 1
     failures = 0
-    total = 0
-    for target in baseline["targets"]:
-        path = os.path.join(root, target["file"])
-        if not os.path.exists(path):
-            print(f"FAIL  {target['file']}: snapshot not found at {path}")
+    entries = baseline["runtime"]
+    for entry in entries:
+        ok, verdict = run_runtime_entry(entry, root)
+        if not ok:
             failures += 1
-            continue
-        with open(path) as stream:
-            doc = json.load(stream)
-        for check in target["checks"]:
-            ok, verdict = check_one(doc, check)
-            total += 1
-            if not ok:
-                failures += 1
-                print(f"{target['file']}: {verdict}")
-            elif verbose:
-                print(f"{target['file']}: {verdict}")
-    if runtime:
-        for entry in baseline.get("runtime", []):
-            ok, verdict = run_runtime_entry(entry, root)
-            total += 1
-            if not ok:
-                failures += 1
-                print(verdict)
-            elif verbose:
-                print(verdict)
+        if verbose or not ok:
+            print(verdict)
     if failures:
-        print(f"bench gate: {failures}/{total} checks FAILED")
+        print(f"bench gate: {failures}/{len(entries)} checks FAILED")
         return 1
-    print(f"bench gate: all {total} checks passed")
+    print(f"bench gate: all {len(entries)} checks passed")
     return 0
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
-        description="compare BENCH_*.json against baseline tolerance bands"
+        description="time live commands against baseline wall-clock bands"
     )
     default_root = os.path.dirname(
         os.path.dirname(os.path.abspath(__file__))
@@ -308,21 +166,11 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--root",
         default=default_root,
-        help="directory containing the BENCH_*.json snapshots",
+        help="directory the timed commands run in",
     )
     parser.add_argument("-v", "--verbose", action="store_true")
-    parser.add_argument(
-        "--no-runtime",
-        action="store_true",
-        help="skip the live wall-clock runtime bands",
-    )
     args = parser.parse_args(argv)
-    return run_gate(
-        args.baseline,
-        args.root,
-        verbose=args.verbose,
-        runtime=not args.no_runtime,
-    )
+    return run_gate(args.baseline, args.root, verbose=args.verbose)
 
 
 if __name__ == "__main__":
