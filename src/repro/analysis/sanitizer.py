@@ -152,8 +152,9 @@ class _StampRegistry:
 
 
 class _Watch:
-    """One watched clock: its name in violations, its server, and a shadow
-    copy of its cells as of the server's epoch."""
+    """One watched clock: its name in violations (empty until its first
+    checked step names it), its server, and a shadow copy of its cells as
+    of the server's epoch."""
 
     __slots__ = ("label", "server", "epoch", "shadow")
 
@@ -183,23 +184,51 @@ def _cells(clock: CausalClock) -> List[int]:
     return [clock.cell(row, col) for row in range(size) for col in range(size)]
 
 
+def _label_of(server: Any, clock: CausalClock) -> str:
+    """``"server 3, domain 'D'"``: the domain whose item holds ``clock``."""
+    for domain in server.domains:
+        item = server.channel.touched_item(domain.domain_id)
+        if item is not None and item.clock is clock:
+            return f"server {server.server_id}, domain {domain.domain_id!r}"
+    return f"server {server.server_id}"
+
+
 class _CheckingCore(CausalCore):
     """Wraps the bus's core: checks each protocol step, then delegates.
     No simulated cost, no state the protocol can observe; the clocks stay
-    unwrapped, so their own counters read as on a bare bus."""
+    unwrapped, so their own counters read as on a bare bus.
 
-    def __init__(self, inner: CausalCore, registry: _StampRegistry) -> None:
+    Each server's channel gets its own view (:meth:`for_server`), which
+    watches every clock it creates: a channel creates a domain's clock on
+    the domain's first touch, so the watch starts with the clock."""
+
+    def __init__(
+        self,
+        inner: CausalCore,
+        registry: _StampRegistry,
+        server: Any = None,
+        watched: Optional[Dict[int, _Watch]] = None,
+    ) -> None:
         self.inner = inner
         self.registry = registry
-        self._watched: Dict[int, _Watch] = {}
+        self._server = server
+        self._watched: Dict[int, _Watch] = {} if watched is None else watched
+
+    def for_server(self, server: Any) -> "_CheckingCore":
+        """This core as ``server``'s channel uses it: same checks, same
+        stamp registry, and the clocks it creates are watched."""
+        return _CheckingCore(self.inner, self.registry, server, self._watched)
 
     def watch(self, clock: CausalClock, label: str, server: Any) -> None:
         """Check ``clock`` from now on, naming it ``label`` in violations
-        (e.g. ``"server 3, domain 'D'"``)."""
+        (e.g. ``"server 3, domain 'D'"``; an empty label names it after
+        the domain item that holds it, at its first checked step)."""
         self._watched[id(clock)] = _Watch(clock, label, server)
 
     def _watch(self, clock: CausalClock) -> _Watch:
         watch = self._watched[id(clock)]
+        if not watch.label:
+            watch.label = _label_of(watch.server, clock)
         epoch = watch.server.epoch
         if watch.epoch != epoch:
             # a crash since the last step: recovery restored the clock to
@@ -210,7 +239,10 @@ class _CheckingCore(CausalCore):
         return watch
 
     def create_clock(self, size: int, owner: int) -> CausalClock:
-        return self.inner.create_clock(size, owner)
+        clock = self.inner.create_clock(size, owner)
+        if self._server is not None:
+            self.watch(clock, "", self._server)
+        return clock
 
     def stamp(self, clock: CausalClock, dest: int) -> Stamp:
         watch = self._watch(clock)
@@ -307,11 +339,13 @@ class BusSanitizer:
         if causal_core:
             core = _CheckingCore(bus.config.core, self.registry)
             for server in bus.servers.values():
-                sid = server.server_id
-                for domain_id, item in server.channel.domain_items.items():
-                    label = f"server {sid}, domain {domain_id!r}"
-                    core.watch(item.clock, label, server)
-                server.channel._core = core
+                # clocks touched before attach are watched now; the
+                # server's view watches every clock created after
+                for domain in server.domains:
+                    item = server.channel.touched_item(domain.domain_id)
+                    if item is not None:
+                        core.watch(item.clock, "", server)
+                server.channel._core = core.for_server(server)
             self.core = core
         # Causal order is only promised on validated (acyclic) topologies;
         # the theorem tests boot cyclic ones where violations are the

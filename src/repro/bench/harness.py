@@ -368,3 +368,43 @@ def run_holdback_churn(
     bus.start()
     bus.run_until_idle()
     return bus, tracer
+
+
+def run_lossy_jittery(
+    seed: int, trace: bool = False, crash: bool = False
+) -> Tuple[MessageBus, Optional[Tracer]]:
+    """The lossy jittery run: one sender on server 0 sends 10
+    notifications at boot to an echo agent on server 9 of ``bus(12, 4)``,
+    over 0.1-20 ms uniform latency with 10 % packet loss, so every message
+    crosses domains through routers, some wait in hold-back and some are
+    retransmitted.
+
+    ``trace`` attaches a tracer before any agent is deployed; ``crash``
+    takes router 3, which every message crosses, down from 30 ms to
+    80 ms. Returns the quiescent bus and its tracer (``None`` untraced)."""
+    from repro.mom.agent import FunctionAgent
+    from repro.simulation.network import UniformLatency
+
+    bus = MessageBus(
+        BusConfig(
+            topology=builders.bus(12, 4),
+            seed=seed,
+            latency=UniformLatency(0.1, 20.0),
+            loss_rate=0.1,
+        )
+    )
+    tracer = attach_tracer(bus) if trace else None
+    echo_id = bus.deploy(EchoAgent(), 9)
+    sender = FunctionAgent(lambda ctx, s, p: None)
+
+    def boot(ctx: Any) -> None:
+        for i in range(10):
+            ctx.send(echo_id, i)
+
+    sender.on_boot = boot
+    bus.deploy(sender, 0)
+    if crash:
+        bus.schedule_crash(30.0, 3, 50.0)
+    bus.start()
+    bus.run_until_idle()
+    return bus, tracer

@@ -40,35 +40,42 @@ pin this):
 - **Column test in C.** The RST test compares column ``me`` of the two
   matrices as strided ``array`` slices (``buf[me::size]``) instead of
   one Python iteration per row.
-- **Change-log window merges.** Every cell mutation is appended to a log;
-  a stamp captures the log and its length at stamp time. A receiver
-  remembers, per sender, the log position it last merged; delivering the
-  next stamp from that sender only replays the log window in between —
-  O(cells that actually changed). Cells outside the window are provably
-  already dominated: per-sender FIFO delivery (guaranteed by the RST test)
-  means the previous stamp from this sender was merged first, and matrix
-  cells only ever grow. Any log discontinuity (first contact, restore,
-  log trim, a decoded stamp that carries no log) falls back to the
-  always-correct full merge, which skips every row whose slice already
-  equals the receiver's and walks only the differing rows.
+- **Change-log window merges.** Every cell mutation is appended to a log,
+  one flat ``array('q')`` of interleaved ``(cell index, new value)``
+  pairs (16 bytes per entry); a stamp captures the log, its length and
+  its epoch at stamp time. A receiver remembers, per sender, the log
+  position it last merged; delivering the next stamp from that sender
+  only replays the log window in between — O(cells that actually
+  changed). Cells outside the window are provably already dominated:
+  per-sender FIFO delivery (guaranteed by the RST test) means the
+  previous stamp from this sender was merged first, and matrix cells
+  only ever grow. Any log discontinuity (first contact, a restore or log
+  trim, which rebind the log and bump its epoch, a stamp built without a
+  log) falls back to the always-correct full merge, which skips every
+  row whose slice already equals the receiver's and walks only the
+  differing rows.
 - **Journaled persistence images.** The clock tracks which cells changed
   since the last ``sync_image`` call and patches them into a retained
   image instead of re-copying the whole matrix; ``restore`` invalidates
-  the journal so the next sync rebuilds from scratch.
+  the journal so the next sync rebuilds from scratch. An image is sparse
+  (its non-zero cells by flat index) until it holds more than s²/16 of
+  them, then dense: a clock that learned a few cells persists a few
+  cells' worth of memory, not s².
 """
 
 from __future__ import annotations
 
 from array import array
 from operator import gt
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Set, Tuple, Union
 
 from repro.clocks.base import CausalClock, Stamp
 from repro.errors import ClockError
 
 # A clock's change log is trimmed once it exceeds max(_LOG_MIN, 4 * s²)
-# entries; outstanding stamps keep the old list object alive, and the
-# identity change makes every receiver fall back to one full merge.
+# entries (two array slots each); outstanding stamps keep the old array
+# alive, and the epoch bump makes every receiver fall back to one full
+# merge.
 _LOG_MIN = 64
 
 # One all-zero buffer per clock size, shared by every clock that has not
@@ -85,20 +92,56 @@ def _zero_block(size: int) -> array:
 
 
 class MatrixImage:
-    """A persistence image: the raw flat buffer plus the clock size.
+    """A persistence image of an s×s clock: its non-zero cells by flat
+    index (``cells``) while there are at most s²/16 of them, the dense
+    flat buffer (``dense``) after that.
 
     Produced by :meth:`MatrixClock.sync_image` and accepted by
     :meth:`MatrixClock.restore`. Deep-copiable (the store's ``load`` path).
     """
 
-    __slots__ = ("size", "buf")
+    __slots__ = ("size", "cells", "dense")
 
-    def __init__(self, size: int, buf: array) -> None:
+    def __init__(
+        self,
+        size: int,
+        dense: Optional[array] = None,
+        cells: Optional[Dict[int, int]] = None,
+    ) -> None:
         self.size = size
-        self.buf = buf
+        self.dense = dense
+        self.cells = cells
+
+    @property
+    def buf(self) -> array:
+        """The flat row-major buffer, as a fresh array."""
+        if self.dense is not None:
+            return array("q", self.dense)
+        buf = array("q", _zero_block(self.size))
+        for idx, value in (self.cells or {}).items():
+            buf[idx] = value
+        return buf
+
+    def patch(self, buf: array, journal: Set[int]) -> None:
+        """Copy the ``journal`` cells of the clock buffer ``buf`` in;
+        past s²/16 cells the image turns dense (then it equals ``buf``)."""
+        if self.dense is not None:
+            dense = self.dense
+            for idx in journal:
+                dense[idx] = buf[idx]
+            return
+        cells = self.cells
+        assert cells is not None
+        for idx in journal:
+            cells[idx] = buf[idx]
+        if 16 * len(cells) > self.size * self.size:
+            self.dense = array("q", buf)
+            self.cells = None
 
     def __deepcopy__(self, memo: object) -> "MatrixImage":
-        return MatrixImage(self.size, array("q", self.buf))
+        if self.dense is not None:
+            return MatrixImage(self.size, dense=array("q", self.dense))
+        return MatrixImage(self.size, cells=dict(self.cells or {}))
 
     def __repr__(self) -> str:
         return f"MatrixImage(size={self.size})"
@@ -112,8 +155,10 @@ class MatrixStamp(Stamp):
     (Appendix A) and the domain decomposition.
 
     The stamp shares the sender clock's buffer copy-on-write: the clock
-    never mutates a buffer a stamp can see. ``_log``/``_log_len`` capture
-    the sender's change log at stamp time for the receiver's window merge.
+    never mutates a buffer a stamp can see. ``_log``/``_log_len``/
+    ``_log_epoch`` capture the sender's change log (its flat pair array
+    and that array's length) at stamp time for the receiver's window
+    merge.
     """
 
     __slots__ = (
@@ -126,7 +171,7 @@ class MatrixStamp(Stamp):
         dest: int,
         size: int,
         buf: array,
-        log: Optional[list] = None,
+        log: Optional[array] = None,
         log_len: int = 0,
         log_epoch: int = -1,
     ) -> None:
@@ -178,7 +223,7 @@ class MatrixClock(CausalClock):
         "_merged",
         "_dirty",
         "_journal",
-        "_journal_full",
+        "_journal_complete",
         "_image",
         "stat_window_merges",
         "stat_full_merges",
@@ -195,18 +240,21 @@ class MatrixClock(CausalClock):
         # delivers in this domain allocates no s² buffer at all.
         self._buf = _zero_block(size)
         self._shared = True
-        # Append-only (cell_index, new_value) mutation log; replaced (new
-        # list, epoch bumped) on trim or restore, which receivers detect
-        # by epoch mismatch and answer with a full merge. The epoch (not
-        # object identity) travels with each stamp, so the detection works
-        # across process boundaries where stamps arrive pickled.
-        self._log: list = []
+        # Append-only mutation log of interleaved (cell_index, new_value)
+        # pairs; replaced (new array, epoch bumped) on trim or restore,
+        # which receivers detect by epoch mismatch and answer with a full
+        # merge. The epoch (not object identity) travels with each stamp,
+        # so the detection works across process boundaries where stamps
+        # arrive pickled.
+        self._log = array("q")
         self._log_epoch = 0
         # Per-sender merge positions: sender -> (log epoch, merged length).
         self._merged: dict = {}
         self._dirty = 0
-        self._journal: set = set()
-        self._journal_full = True  # first sync_image copies everything
+        self._journal: Set[int] = set()
+        # until a restore, the journal since birth lists every cell that
+        # left zero, so the first image is built from it alone
+        self._journal_complete = True
         self._image: Optional[MatrixImage] = None
         # merge-strategy tallies (read by repro.metrics' collector; plain
         # ints so the clock stays free of upward dependencies)
@@ -239,8 +287,8 @@ class MatrixClock(CausalClock):
         return self._buf
 
     def _trim_log(self) -> None:
-        if len(self._log) > max(_LOG_MIN, 4 * self._size * self._size):
-            self._log = []
+        if len(self._log) > 2 * max(_LOG_MIN, 4 * self._size * self._size):
+            self._log = array("q")
             self._log_epoch += 1
 
     def prepare_send(self, dest: int) -> MatrixStamp:
@@ -253,12 +301,14 @@ class MatrixClock(CausalClock):
         idx = self._owner * self._size + dest
         value = buf[idx] + 1
         buf[idx] = value
-        self._log.append((idx, value))
+        log = self._log
+        log.append(idx)
+        log.append(value)
         self._journal.add(idx)
         self._dirty += 1
         self._shared = True
         return MatrixStamp(
-            self._owner, dest, self._size, buf, self._log, len(self._log),
+            self._owner, dest, self._size, buf, log, len(log),
             self._log_epoch,
         )
 
@@ -311,10 +361,11 @@ class MatrixClock(CausalClock):
             # previous stamp to anyone and this one. Dedupe to the last
             # value per cell so a twice-bumped cell counts dirty once,
             # exactly like the cellwise full merge would.
-            window = dict(stamp._log[last[1] : stamp._log_len])
+            seg = stamp._log[last[1] : stamp._log_len]
+            window = dict(zip(seg[::2], seg[1::2]))
         self._trim_log()
         buf = self._own_buf()
-        log = self._log
+        record = self._log.append
         journal = self._journal
         dirty = 0
         if window is not None:
@@ -325,7 +376,8 @@ class MatrixClock(CausalClock):
             for idx, value in window.items():
                 if value > buf[idx]:
                     buf[idx] = value
-                    log.append((idx, value))
+                    record(idx)
+                    record(value)
                     journal.add(idx)
                     dirty += 1
         else:
@@ -341,7 +393,8 @@ class MatrixClock(CausalClock):
                 for idx, value in enumerate(srow, base):
                     if value > buf[idx]:
                         buf[idx] = value
-                        log.append((idx, value))
+                        record(idx)
+                        record(value)
                         journal.add(idx)
                         dirty += 1
         self._dirty += dirty
@@ -369,15 +422,15 @@ class MatrixClock(CausalClock):
         cost of the write is still charged by the cost model, unchanged.
         """
         image = self._image
-        if image is None or self._journal_full:
-            image = MatrixImage(self._size, array("q", self._buf))
+        if image is None:
+            if self._journal_complete:
+                image = MatrixImage(self._size, cells={})
+                image.patch(self._buf, self._journal)
+            else:  # restored: any cell may be non-zero
+                image = MatrixImage(self._size, dense=array("q", self._buf))
             self._image = image
-            self._journal_full = False
         else:
-            buf = self._buf
-            ibuf = image.buf
-            for idx in self._journal:
-                ibuf[idx] = buf[idx]
+            image.patch(self._buf, self._journal)
         self._journal.clear()
         return image
 
@@ -387,7 +440,7 @@ class MatrixClock(CausalClock):
         if isinstance(snapshot, MatrixImage):
             if snapshot.size != self._size:
                 raise ClockError("snapshot shape does not match clock size")
-            self._buf = array("q", snapshot.buf)
+            self._buf = snapshot.buf
         else:
             if len(snapshot) != self._size or any(
                 len(row) != self._size for row in snapshot
@@ -398,12 +451,12 @@ class MatrixClock(CausalClock):
                 flat.extend(row)
             self._buf = array("q", flat)
         self._shared = False
-        self._log = []
+        self._log = array("q")
         self._log_epoch += 1
         self._merged.clear()
         self._dirty = 0
         self._journal.clear()
-        self._journal_full = True
+        self._journal_complete = False
         self._image = None
 
     def __repr__(self) -> str:

@@ -200,13 +200,20 @@ class Registry:
         Deterministic: instruments sorted by (name, labels), every float
         finite, no wall-clock anywhere — two identical sim runs dump
         byte-identical JSON.
+
+        Rows are read-only: every row with the same labels shares one
+        ``labels`` dict (one per server, not one per row).
         """
         instruments = []
+        shared: Dict[Labels, Dict[str, str]] = {}
         for (name, labels), entry in self._rows():
+            label_dict = shared.get(labels)
+            if label_dict is None:
+                label_dict = shared[labels] = dict(labels)
             row: dict = {
                 "name": name,
                 "type": entry.kind,
-                "labels": dict(labels),
+                "labels": label_dict,
             }
             if entry.help:
                 row["help"] = entry.help

@@ -386,18 +386,23 @@ class BusAccounting:
             channel = server.channel
             bundle.unacked_depth.set(float(channel.unacked_count))
             bundle.queue_depth.set(float(server.engine.queued))
-            for domain_id, domain in self._domains[server_id].items():
-                clock = channel.item(domain_id).clock
-                domain.state_cells.set(float(clock.size * clock.size))
-                domain.window_merges.set(
+            bundles = self._domains[server_id]
+            for domain in server.domains:
+                domain_id = domain.domain_id
+                handles = bundles[domain_id]
+                handles.state_cells.set(float(domain.size * domain.size))
+                # an untouched domain has no clock yet: no merges
+                item = channel.touched_item(domain_id)
+                clock = item.clock if item is not None else None
+                handles.window_merges.set(
                     float(getattr(clock, "stat_window_merges", 0))
                 )
-                domain.full_merges.set(
+                handles.full_merges.set(
                     float(getattr(clock, "stat_full_merges", 0))
                 )
                 # resync the live value after crashes wiped stores; the
                 # push side keeps the peak honest between snapshots
-                domain.holdback_depth.set(
+                handles.holdback_depth.set(
                     float(channel.holdback_depth(domain_id))
                 )
 

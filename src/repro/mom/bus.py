@@ -454,7 +454,7 @@ class MessageBus:
             state = "crashed" if server.is_crashed else "up"
             lines.append(
                 f"{server_id:>6}  {state:>7}  "
-                f"{len(server.channel.domain_items):>7}  "
+                f"{len(server.domains):>7}  "
                 f"{server.channel.unacked_count:>7}  "
                 f"{server.channel.heldback_count:>8}  "
                 f"{server.engine.queued:>6}  "
@@ -501,14 +501,16 @@ class MessageBus:
     def total_clock_state_cells(self) -> int:
         """The protocol's nominal matrix-clock state, in cells, summed over
         servers — Σ over (server, domain) of s_d², what real servers hold
-        (not the simulator's resident bytes: idle clocks share one zero
-        buffer). The flat MOM holds n·n² cells total; the decomposed MOM
-        holds Σ s²·(members) ≈ linear in n."""
-        total = 0
-        for server in self.servers.values():
-            for item in server.channel.domain_items.values():
-                total += item.clock.size * item.clock.size
-        return total
+        (not the simulator's resident bytes: a clock exists only after its
+        domain's first touch, and shares one zero buffer until it first
+        mutates). The flat MOM holds n·n² cells total; the decomposed MOM
+        holds Σ s²·(members) ≈ linear in n. Read off the topology, so
+        it creates no clock."""
+        return sum(
+            domain.size * domain.size
+            for server in self.servers.values()
+            for domain in server.domains
+        )
 
     def __repr__(self) -> str:
         return (

@@ -40,6 +40,13 @@ again on the next commit in the domain (delivery only ever advances the
 receiver column, so nothing else can become deliverable in between).
 Release order is arrival order, same as the seed's queue scan.
 
+State follows traffic. A domain's :class:`DomainItem` (and with it the
+domain clock) and its hold-back store are created on the domain's first
+touch — the first hop stamped or received in it — so an idle server
+holds no per-domain protocol state; the reads a harvest makes on every
+server (:attr:`Channel.heldback_count`, :attr:`Channel.unacked_count`,
+:meth:`Channel.touched_item`) create nothing.
+
 Persistence is incremental on the wall clock, never on the simulated one:
 clock images are journal-patched (:meth:`CausalClock.sync_image`) and the
 unacked table is updated entry-wise (``put_entry``/``delete_entry``), but
@@ -120,15 +127,11 @@ class Channel:
     def __init__(self, server: AgentServer) -> None:
         self._server = server
         self._core: CausalCore = server.core
-        self._items: Dict[str, DomainItem] = {
-            domain.domain_id: DomainItem(domain, server.server_id, self._core)
-            for domain in server.domains
-        }
+        # per-domain state, created on the domain's first touch (item)
+        self._items: Dict[str, DomainItem] = {}
+        self._holdback: Dict[str, _HoldbackStore] = {}
         self._hop_seq = 0
         self._unacked: Dict[int, Envelope] = {}
-        self._holdback: Dict[str, _HoldbackStore] = {
-            d: _HoldbackStore(self._core) for d in self._items
-        }
         self._arrivals = 0
         self._pending_commits: Set[Tuple] = set()
         # Hot counters, resolved once instead of a registry lookup per hop:
@@ -151,16 +154,33 @@ class Channel:
 
     @property
     def domain_items(self) -> Dict[str, DomainItem]:
-        return dict(self._items)
+        """Every domain's item, in membership order (touches them all)."""
+        return {
+            domain.domain_id: self.item(domain.domain_id)
+            for domain in self._server.domains
+        }
 
     def item(self, domain_id: str) -> DomainItem:
-        try:
-            return self._items[domain_id]
-        except KeyError:
-            raise TopologyError(
-                f"server {self._server.server_id} is not in domain "
-                f"{domain_id!r} but received a message stamped for it"
-            ) from None
+        """The domain's item; its first touch creates it, with the
+        domain clock and hold-back store."""
+        item = self._items.get(domain_id)
+        if item is not None:
+            return item
+        for domain in self._server.domains:
+            if domain.domain_id == domain_id:
+                item = DomainItem(domain, self._server.server_id, self._core)
+                self._items[domain_id] = item
+                self._holdback[domain_id] = _HoldbackStore(self._core)
+                return item
+        raise TopologyError(
+            f"server {self._server.server_id} is not in domain "
+            f"{domain_id!r} but received a message stamped for it"
+        )
+
+    def touched_item(self, domain_id: str) -> Optional[DomainItem]:
+        """The domain's item if it was touched yet, else ``None`` (a
+        read that creates nothing)."""
+        return self._items.get(domain_id)
 
     @property
     def unacked_count(self) -> int:
@@ -172,7 +192,8 @@ class Channel:
 
     def holdback_depth(self, domain_id: str) -> int:
         """Envelopes currently held back in one domain's store."""
-        return self._holdback[domain_id].count
+        store = self._holdback.get(domain_id)
+        return store.count if store is not None else 0
 
     @property
     def hop_seq(self) -> int:
@@ -188,12 +209,12 @@ class Channel:
         """Held-back hop ids per domain, each as ``[src, hop_seq]``,
         sorted — the JSON-ready view :meth:`MessageBus.protocol_snapshot`
         and the replay identity oracle compare."""
-        return {
-            domain_id: sorted(
-                [mid[1], mid[2]] for mid in store.mids
-            )
-            for domain_id, store in sorted(self._holdback.items())
+        held: Dict[str, List[List[int]]] = {
+            domain.domain_id: [] for domain in self._server.domains
         }
+        for domain_id, store in self._holdback.items():
+            held[domain_id] = sorted([mid[1], mid[2]] for mid in store.mids)
+        return dict(sorted(held.items()))
 
     def pending_mids(self) -> List[List[int]]:
         """Hop ids with a receive commit charged but not yet fired, each
@@ -220,7 +241,7 @@ class Channel:
             )
         next_hop = self._server.routing.next_hop(dest)
         domain = self._server.topology.shared_domain(me, next_hop)
-        item = self._items[domain.domain_id]
+        item = self.item(domain.domain_id)
         stamp = self._core.stamp(item.clock, item.local_id(next_hop))
 
         self._hop_seq += 1
@@ -491,6 +512,7 @@ class Channel:
     def __repr__(self) -> str:
         return (
             f"Channel(server={self._server.server_id}, "
-            f"domains={sorted(self._items)}, unacked={len(self._unacked)}, "
+            f"domains={sorted(d.domain_id for d in self._server.domains)}, "
+            f"unacked={len(self._unacked)}, "
             f"heldback={self.heldback_count})"
         )

@@ -41,7 +41,8 @@ class Engine:
     def __init__(self, server: AgentServer) -> None:
         self._server = server
         self._agents: Dict[int, Agent] = {}
-        self._queue_in: Deque[Any] = deque()
+        # QueueIN, created on its first entry: an idle server has none
+        self._queue_in: Optional[Deque[Any]] = None
         self._reacting = False
         # the bus's observer (accounting, or a tracer); set by the bus
         self._obs: Optional["BusAccounting"] = None
@@ -83,9 +84,15 @@ class Engine:
     # QueueIN
     # ------------------------------------------------------------------
 
+    def _append(self, entry: Any) -> None:
+        """Append to QueueIN, creating it on the first entry."""
+        if self._queue_in is None:
+            self._queue_in = deque()
+        self._queue_in.append(entry)
+
     def enqueue(self, notification: Notification) -> None:
         """Append to the persistent QueueIN and schedule processing."""
-        self._queue_in.append(notification)
+        self._append(notification)
         if self._obs is not None and self._obs.tracing:
             self._obs.engine_enqueue(self._server.server_id, notification)
         self._persist_queue()
@@ -93,20 +100,20 @@ class Engine:
 
     def schedule_boot(self, agent_id: AgentId) -> None:
         """Queue the one-shot ``on_boot`` pseudo-reaction of an agent."""
-        self._queue_in.append((_BOOT, agent_id.local))
+        self._append((_BOOT, agent_id.local))
         self._persist_queue()
         self._schedule_next()
 
     @property
     def queued(self) -> int:
-        return len(self._queue_in)
+        return len(self._queue_in) if self._queue_in is not None else 0
 
     def queued_nids(self) -> List[int]:
         """The notification ids in QueueIN, FIFO order (boot markers carry
         no nid and are excluded)."""
         return [
             entry.nid
-            for entry in self._queue_in
+            for entry in self._queue_in or ()
             if isinstance(entry, Notification)
         ]
 
@@ -142,9 +149,10 @@ class Engine:
         if epoch != self._server.epoch:
             return  # the server crashed while this reaction was "running"
         self._reacting = False
-        if not self._queue_in:
+        queue = self._queue_in
+        if not queue:
             return
-        head = self._queue_in[0]
+        head = queue[0]
 
         if isinstance(head, tuple) and head[0] == _BOOT:
             local = head[1]
@@ -172,7 +180,7 @@ class Engine:
             self._server.bus.dispatch(agent.agent_id, target, payload)
         for delay, target, payload in ctx.timers:
             self._arm_timer(agent.agent_id, delay, target, payload)
-        self._queue_in.popleft()
+        queue.popleft()
         self._persist_queue()
         self._persist_agent(local)
         if receive_of is not None and self._delivered_log is not None:
@@ -212,7 +220,7 @@ class Engine:
         # Queue entries (Notifications, boot markers) are immutable; the
         # fresh list shell is a faithful snapshot.
         self._server.store.save(
-            "engine.queue_in", list(self._queue_in), owned=True
+            "engine.queue_in", list(self._queue_in or ()), owned=True
         )
 
     def _persist_agent(self, local: int) -> None:
@@ -224,7 +232,8 @@ class Engine:
     def on_crash(self) -> None:
         """Drop volatile execution state (queued reactions stay on disk)."""
         self._reacting = False
-        self._queue_in.clear()
+        if self._queue_in:
+            self._queue_in.clear()
 
     def on_recover(self) -> None:
         """Reload QueueIN and every agent's durable state, then resume."""
@@ -239,5 +248,5 @@ class Engine:
     def __repr__(self) -> str:
         return (
             f"Engine(server={self._server.server_id}, "
-            f"agents={len(self._agents)}, queued={len(self._queue_in)})"
+            f"agents={len(self._agents)}, queued={self.queued})"
         )

@@ -281,7 +281,7 @@ def _collect_state(bus: MessageBus) -> Dict[str, Any]:
             (
                 server_id,
                 server.is_crashed,
-                len(server.channel.domain_items),
+                len(server.domains),
                 server.channel.unacked_count,
                 server.channel.heldback_count,
                 server.engine.queued,

@@ -78,9 +78,11 @@ class ReliableTransport:
         self._on_message = on_message
         self._retransmit_ms = retransmit_ms
         self._max_attempts = max_attempts
-        self._next_seq: Dict[int, int] = {}
-        self._outstanding: Dict[Tuple[int, int], _Outstanding] = {}
-        self._delivered: Dict[int, Set[int]] = {}
+        # the send and receive tables, each created on first use: an
+        # endpoint that never sends (or never receives) holds none
+        self._next_seq: Optional[Dict[int, int]] = None
+        self._outstanding: Optional[Dict[Tuple[int, int], _Outstanding]] = None
+        self._delivered: Optional[Dict[int, Set[int]]] = None
         self._stopped = False
         self.retransmissions = 0
         self.duplicates_suppressed = 0
@@ -96,12 +98,16 @@ class ReliableTransport:
     @property
     def in_flight(self) -> int:
         """Unacked packets (diagnostics and quiescence checks)."""
-        return len(self._outstanding)
+        return len(self._outstanding) if self._outstanding is not None else 0
 
     def send(self, dst: int, payload: Any, cells: int = 0) -> None:
         """Reliably send ``payload``; delivery order is unspecified."""
         if self._stopped:
             raise TransportError(f"transport {self._endpoint} is stopped")
+        if self._next_seq is None:
+            self._next_seq = {}
+        if self._outstanding is None:
+            self._outstanding = {}
         seq = self._next_seq.get(dst, 0)
         self._next_seq[dst] = seq + 1
         entry = _Outstanding(seq=seq, dst=dst, payload=payload, cells=cells)
@@ -111,10 +117,11 @@ class ReliableTransport:
     def stop(self) -> None:
         """Crash: cancel timers, drop state, detach from the network."""
         self._stopped = True
-        for entry in self._outstanding.values():
-            if entry.timer is not None:
-                entry.timer.cancel()
-        self._outstanding.clear()
+        if self._outstanding is not None:
+            for entry in self._outstanding.values():
+                if entry.timer is not None:
+                    entry.timer.cancel()
+            self._outstanding.clear()
         self._network.detach(self._endpoint)
 
     def restart(self, on_message: Optional[Callable[[int, Any], None]] = None) -> None:
@@ -130,7 +137,7 @@ class ReliableTransport:
         self._stopped = False
         if on_message is not None:
             self._on_message = on_message
-        self._delivered.clear()
+        self._delivered = None
         self._network.attach(self._endpoint, self._on_packet)
 
     def _transmit(self, entry: _Outstanding) -> None:
@@ -144,7 +151,12 @@ class ReliableTransport:
         )
 
     def _maybe_retransmit(self, entry: _Outstanding) -> None:
-        if self._stopped or (entry.dst, entry.seq) not in self._outstanding:
+        outstanding = self._outstanding
+        if (
+            self._stopped
+            or outstanding is None
+            or (entry.dst, entry.seq) not in outstanding
+        ):
             return
         if entry.attempts >= self._max_attempts:
             raise TransportError(
@@ -164,13 +176,20 @@ class ReliableTransport:
         if self._stopped:
             return
         if isinstance(packet, _AckPacket):
-            entry = self._outstanding.pop((src, packet.seq), None)
+            outstanding = self._outstanding
+            entry = (
+                outstanding.pop((src, packet.seq), None)
+                if outstanding is not None
+                else None
+            )
             if entry is not None and entry.timer is not None:
                 entry.timer.cancel()
             return
         assert isinstance(packet, _DataPacket)
         # Always re-ack: the original ack may have been lost.
         self._network.transmit(self._endpoint, src, _AckPacket(packet.seq))
+        if self._delivered is None:
+            self._delivered = {}
         seen = self._delivered.setdefault(src, set())
         if packet.seq in seen:
             self.duplicates_suppressed += 1

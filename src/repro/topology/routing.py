@@ -16,13 +16,14 @@ Implementation note — the hot-path rewrite. The original implementation
 materialized all n BFS trees eagerly over a networkx graph, which is the
 single most expensive operation at n=1000 (two orders of magnitude more
 work than the simulation itself for a short experiment). This version
-exploits two structural facts without changing a single produced route:
+exploits structural facts without changing a single produced route:
 
 - the server graph is a *union of cliques* (one clique per domain), so the
   first time a BFS wave touches any member of a domain it absorbs the whole
   domain; scanning a fully-absorbed domain again can never discover a new
   node.  Each per-destination BFS therefore costs O(Σ|domain|) instead of
-  O(Σ|domain|²).
+  O(Σ|domain|²) (the ``routing_bfs_scans_total`` tally still counts that
+  Σ|members| over the absorbed domains).
 - most callers query a handful of destinations (the MOM consults routes
   only for servers that actually exchange messages), so BFS trees are
   built lazily per destination and memoized.  Connectivity is still
@@ -30,8 +31,14 @@ exploits two structural facts without changing a single produced route:
 - only a router can extend the frontier: a server in one domain was
   discovered through exactly that domain, which is absorbed by the time
   it would be popped.  So the BFS queue holds the destination and the
-  routers it discovers, and a tree costs O(Σ|domain|) scans plus one pop
-  per router instead of one per server.
+  routers it discovers, and a tree pops and scans only routers.
+- a tree is stored at *domain granularity*: a server is discovered when
+  the first domain containing it is absorbed, so its BFS parent is the
+  server whose pop absorbed that domain.  A tree is therefore two arrays
+  of D entries (each domain's absorber and its absorption rank), not a
+  parent array of n entries; ``next_hop`` reads them directly, and
+  :meth:`_RoutingIndex.parents_towards` rebuilds the n-entry parent list
+  only on demand (diagnostics, distances, tests).
 
 Determinism is preserved exactly: the BFS discovery order — pop order,
 then neighbours in ascending server id — is identical to iterating
@@ -51,17 +58,18 @@ from repro.topology.domains import Topology
 
 
 class _RoutingIndex:
-    """Shared, lazily materialized all-destination BFS parent trees.
+    """Shared, lazily materialized all-destination BFS trees, one pair of
+    domain-indexed arrays per destination.
 
     One index is shared by every :class:`RoutingTable` of one
-    :func:`build_routing_tables` call.  ``parents_towards(dest)[s]`` is the
-    next hop from ``s`` towards ``dest`` (BFS parent in the tree rooted at
-    ``dest``), computed on first use and cached.
+    :func:`build_routing_tables` call.  ``next_hop(s, dest)`` is the next
+    hop from ``s`` towards ``dest`` (BFS parent in the tree rooted at
+    ``dest``); the tree behind it is computed on first use and cached.
     """
 
     __slots__ = (
-        "_n", "_members", "_domains_of", "_parents", "_trees", "_scans",
-        "scan_counts",
+        "_n", "_members", "_routers", "_domains_of", "_routes",
+        "_trees", "_scans", "scan_counts",
     )
 
     def __init__(
@@ -87,11 +95,22 @@ class _RoutingIndex:
         self._members: List[Tuple[int, ...]] = [
             tuple(sorted(d.servers)) for d in domains
         ]
-        self._domains_of: List[List[int]] = [[] for _ in range(self._n)]
+        domains_of: List[List[int]] = [[] for _ in range(self._n)]
         for di, members in enumerate(self._members):
             for server in members:
-                self._domains_of[server].append(di)
-        self._parents: Dict[int, List[int]] = {}
+                domains_of[server].append(di)
+        self._domains_of: List[Tuple[int, ...]] = [
+            tuple(ds) for ds in domains_of
+        ]
+        #: each domain's routers, ascending: the only members that can
+        #: extend a BFS frontier
+        self._routers: List[Tuple[int, ...]] = [
+            tuple(s for s in members if len(domains_of[s]) > 1)
+            for members in self._members
+        ]
+        #: dest -> (absorber, rank): per domain, the server whose pop
+        #: absorbed it and the order of absorption (len(domains) = never)
+        self._routes: Dict[int, Tuple[List[int], List[int]]] = {}
         #: per-destination scan counts of materialized trees. The scans of
         #: one tree are a pure function of (topology, dest), so shard
         #: workers that materialize overlapping destination sets can merge
@@ -100,8 +119,10 @@ class _RoutingIndex:
         # Eager connectivity check (the old builder raised while building
         # the first BFS tree; keep the same failure mode and message).
         first = servers[0]
-        reached = self.parents_towards(first)
-        missing = [s for s in servers if s != first and reached[s] < 0]
+        self._tree(first)
+        missing = [
+            s for s in servers if s != first and self.next_hop(s, first) < 0
+        ]
         if missing:
             raise RoutingError(
                 f"servers {sorted(missing)} cannot reach server {first}; "
@@ -112,55 +133,68 @@ class _RoutingIndex:
     def size(self) -> int:
         return self._n
 
-    def parents_towards(self, dest: int) -> List[int]:
-        """BFS parent array rooted at ``dest`` (-1 = unreached / root)."""
-        cached = self._parents.get(dest)
+    def _tree(self, dest: int) -> Tuple[List[int], List[int]]:
+        """The BFS tree rooted at ``dest``, at domain granularity.
+
+        A server is discovered when the first domain containing it is
+        absorbed, so its parent is the absorber of that domain: the tree
+        is fully described by who absorbed each domain, and when."""
+        cached = self._routes.get(dest)
         if cached is not None:
             return cached
-        n = self._n
-        visited = bytearray(n)
-        absorbed = bytearray(len(self._members))
-        parents = [-1] * n
-        visited[dest] = 1
-        order = [dest]
-        pop = 0
+        count = len(self._members)
+        absorber = [-1] * count
+        rank = [count] * count
+        absorbed = 0
         scans = 0
         domains_of = self._domains_of
         members = self._members
-        while pop < len(order):
-            current = order[pop]
-            pop += 1
-            active = [d for d in domains_of[current] if not absorbed[d]]
+        routers = self._routers
+        discovered = {dest}
+        order = [dest]
+        for current in order:  # grows while it is walked: a BFS queue
+            active = [d for d in domains_of[current] if absorber[d] < 0]
             if not active:
                 continue
+            for d in active:
+                absorber[d] = current
+                rank[d] = absorbed
+                absorbed += 1
+                scans += len(members[d])
             if len(active) == 1:
-                d = active[0]
-                absorbed[d] = 1
-                candidates: Sequence[int] = members[d]
+                candidates: Sequence[int] = routers[active[0]]
             else:
-                merged: List[int] = []
-                for d in active:
-                    absorbed[d] = 1
-                    merged.extend(members[d])
-                merged.sort()
-                candidates = merged
-            scans += len(candidates)
-            for neighbor in candidates:
-                if not visited[neighbor]:
-                    visited[neighbor] = 1
-                    parents[neighbor] = current
-                    # Only a router can extend the frontier: the single
-                    # domain of any other server is the one that just
-                    # absorbed it, so its pop would find nothing active.
-                    if len(domains_of[neighbor]) > 1:
-                        order.append(neighbor)
-        self._parents[dest] = parents
+                candidates = sorted(r for d in active for r in routers[d])
+            for router in candidates:
+                if router not in discovered:
+                    discovered.add(router)
+                    order.append(router)
+        tree = self._routes[dest] = (absorber, rank)
         self.scan_counts[dest] = scans
         if self._trees is not None:
             self._trees.inc()
             assert self._scans is not None
             self._scans.inc(scans)
-        return parents
+        return tree
+
+    def next_hop(self, source: int, dest: int) -> int:
+        """BFS parent of ``source`` in the tree rooted at ``dest`` (-1 =
+        unreached / root): the absorber of the earliest-absorbed domain
+        that contains ``source``."""
+        tree = self._routes.get(dest)
+        absorber, rank = tree if tree is not None else self._tree(dest)
+        if source == dest:
+            return -1
+        domains = self._domains_of[source]
+        first = domains[0] if len(domains) == 1 else min(
+            domains, key=rank.__getitem__
+        )
+        return absorber[first]
+
+    def parents_towards(self, dest: int) -> List[int]:
+        """BFS parent array rooted at ``dest`` (-1 = unreached / root),
+        built on demand from the domain-granular tree."""
+        return [self.next_hop(server, dest) for server in range(self._n)]
 
     def distances_from(self, source: int) -> List[int]:
         """BFS hop distance from ``source`` to every server (-1 if
@@ -169,8 +203,8 @@ class _RoutingIndex:
         parents = self.parents_towards(source)
         dist = [-1] * self._n
         dist[source] = 0
-        # parents_towards(source) discovers nodes in BFS order, so a single
-        # pass following parent pointers of already-resolved nodes works.
+        # Parent pointers lead to ``source`` without cycles, so a single
+        # pass following them through already-resolved nodes works.
         for server in range(self._n):
             if server == source or parents[server] < 0:
                 continue
@@ -234,7 +268,7 @@ class RoutingTable:
             raise RoutingError(
                 f"server {self._owner} has no route to server {dest}"
             )
-        hop = index.parents_towards(dest)[self._owner]
+        hop = index.next_hop(self._owner, dest)
         if hop < 0:
             raise RoutingError(
                 f"server {self._owner} has no route to server {dest}"

@@ -219,7 +219,9 @@ class TestHelpers:
 # real sources and prove the rules catch exactly them.
 # ----------------------------------------------------------------------
 
-EPOCH_BUMP = "            self._log = []\n            self._log_epoch += 1\n"
+EPOCH_BUMP = (
+    '            self._log = array("q")\n            self._log_epoch += 1\n'
+)
 WORKER_WRITE = "    bus.start()\n"
 PARENT_ANCHOR = "        states = self._coordinator.collect()\n"
 
@@ -247,7 +249,7 @@ class TestSeededEpochBug:
         source = target.read_text()
         assert EPOCH_BUMP in source, "matrix.py no longer matches the surgery"
         target.write_text(
-            source.replace(EPOCH_BUMP, "            self._log = []\n")
+            source.replace(EPOCH_BUMP, '            self._log = array("q")\n')
         )
         findings = lint_paths([root], select=["R015"])
         assert [d.rule for d in findings] == ["R015"]

@@ -10,33 +10,12 @@ import io
 import pytest
 
 from repro.bench import run_broadcast, run_remote_unicast
-from repro.mom import BusConfig, EchoAgent, FunctionAgent, MessageBus
+from repro.bench.harness import run_lossy_jittery
 from repro.mom.scenario import run_scenario
-from repro.simulation.network import UniformLatency
-from repro.topology import bus as bus_topology
 
 
 def run_jittery(seed):
-    mom = MessageBus(
-        BusConfig(
-            topology=bus_topology(12, 4),
-            seed=seed,
-            latency=UniformLatency(0.1, 20.0),
-            loss_rate=0.1,
-        )
-    )
-    echo_id = mom.deploy(EchoAgent(), 9)
-    sender = FunctionAgent(lambda ctx, s, p: None)
-
-    def boot(ctx):
-        for i in range(10):
-            ctx.send(echo_id, i)
-
-    sender.on_boot = boot
-    mom.deploy(sender, 0)
-    mom.start()
-    mom.run_until_idle()
-    return mom
+    return run_lossy_jittery(seed)[0]
 
 
 class TestDeterminism:

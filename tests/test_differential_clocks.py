@@ -352,8 +352,9 @@ class TestRandomMatrices:
         assert new.stat_full_merges == full_before + 1
         assert new.snapshot() == ref.snapshot()
         assert new.dirty_cells() == ref.dirty_cells()
-        # exactly what the ascending cell loop logged, in its order
-        assert new._log == [
+        # exactly what the ascending cell loop logged, in its order (the
+        # log is a flat array of interleaved (idx, value) pairs)
+        assert list(zip(new._log[::2], new._log[1::2])) == [
             (idx, value)
             for idx, value in enumerate(theirs)
             if value > mine[idx]

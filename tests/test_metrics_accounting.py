@@ -27,6 +27,7 @@ from repro.mom.__main__ import main as mom_main
 from repro.mom.workloads import PingPongDriver
 from repro.simulation.network import UniformLatency
 from repro.topology import builders
+from repro.topology.routing import route
 
 
 def _pingpong(topology, seed=0, rounds=6, latency=None):
@@ -96,6 +97,19 @@ def _mostly_idle_bus():
     return mom
 
 
+def _touched(server):
+    """The domains whose item exists on ``server``; each must come with
+    its hold-back store, created on the same first touch."""
+    channel = server.channel
+    touched = {
+        domain.domain_id
+        for domain in server.domains
+        if channel.touched_item(domain.domain_id) is not None
+    }
+    assert set(channel._holdback) == touched
+    return touched
+
+
 def _sha(obj, **kwargs):
     return hashlib.sha256(json.dumps(obj, **kwargs).encode()).hexdigest()
 
@@ -130,6 +144,47 @@ class TestBootFollowsTraffic:
         rows = bus.cost_snapshot()["instruments"]
         assert len(rows) == 56_572
         assert len(bus.accounting) <= 70  # a snapshot resolves no one
+
+    def test_boot_creates_no_channel_state(self):
+        """No domain item, clock or hold-back store exists after boot,
+        and the reads a harvest makes on every server create none."""
+        bus = MessageBus(BusConfig(topology=builders.bus(4000)))
+        for server in bus.servers.values():
+            channel = server.channel
+            assert channel.heldback_count == channel.unacked_count == 0
+            assert server.engine.queued == 0
+            assert server.transport.retransmissions == 0
+            assert server.store.writes == 0
+        bus.cost_snapshot()
+        assert bus.total_clock_state_cells() == sum(
+            domain.size ** 3 for domain in bus.config.topology.domains
+        )
+        assert not any(_touched(server) for server in bus.servers.values())
+
+    def test_channel_state_follows_traffic(self):
+        """After the run, exactly the (server, domain) pairs some hop
+        crossed hold an item (with its clock) and a hold-back store; the
+        nominal clock state is read off the topology, before and after."""
+        mom = _mostly_idle_bus()
+        cells = mom.total_clock_state_cells()
+        assert not any(_touched(server) for server in mom.servers.values())
+        mom.run_until_idle()
+        topology = mom.config.topology
+        tables = {sid: server.routing for sid, server in mom.servers.items()}
+        crossed = set()
+        for src, dst in ((0, 42), (42, 0), (17, 58), (58, 17)):
+            path = route(tables, src, dst)
+            for hop_src, hop_dst in zip(path, path[1:]):
+                domain_id = topology.shared_domain(hop_src, hop_dst).domain_id
+                crossed.update({(hop_src, domain_id), (hop_dst, domain_id)})
+        assert {
+            (sid, domain_id)
+            for sid, server in mom.servers.items()
+            for domain_id in _touched(server)
+        } == crossed
+        assert mom.total_clock_state_cells() == cells == sum(
+            domain.size ** 3 for domain in topology.domains
+        )
 
     def test_idle_rows_match_boot_time_accounting(self):
         mom = _mostly_idle_bus()

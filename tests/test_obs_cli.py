@@ -96,33 +96,10 @@ def test_missing_dump_is_a_clean_error(tmp_path, capsys):
 @pytest.fixture(scope="module")
 def jittery_dump(tmp_path_factory):
     """A lossy, jittery run that actually exercises hold-back, dumped."""
-    from repro.mom.agent import EchoAgent, FunctionAgent
-    from repro.mom.bus import MessageBus
-    from repro.mom.config import BusConfig
-    from repro.obs import attach, flight_recorder
-    from repro.simulation.network import UniformLatency
-    from repro.topology.builders import bus as bus_topology
+    from repro.bench.harness import run_lossy_jittery
+    from repro.obs import flight_recorder
 
-    mom = MessageBus(
-        BusConfig(
-            topology=bus_topology(12, 4),
-            seed=7,
-            latency=UniformLatency(0.1, 20.0),
-            loss_rate=0.1,
-        )
-    )
-    tracer = attach(mom)
-    echo_id = mom.deploy(EchoAgent(), 9)
-    sender = FunctionAgent(lambda ctx, s, p: None)
-
-    def boot(ctx):
-        for i in range(10):
-            ctx.send(echo_id, i)
-
-    sender.on_boot = boot
-    mom.deploy(sender, 0)
-    mom.start()
-    mom.run_until_idle()
+    _, tracer = run_lossy_jittery(7, trace=True)
 
     held = sorted(
         {e.nid for e in tracer.events() if e.kind == "holdback_enter"}

@@ -5,10 +5,8 @@ import json
 
 import pytest
 
+from repro.bench.harness import run_lossy_jittery
 from repro.errors import ConfigurationError
-from repro.mom.agent import EchoAgent, FunctionAgent
-from repro.mom.bus import MessageBus
-from repro.mom.config import BusConfig
 from repro.obs.export import (
     TID_CPU,
     TID_DOMAIN_BASE,
@@ -18,35 +16,13 @@ from repro.obs.export import (
     read_jsonl,
     write_jsonl,
 )
-from repro.obs.tracer import attach
-from repro.simulation.network import UniformLatency
-from repro.topology.builders import bus as bus_topology
 
 
 @pytest.fixture(scope="module")
 def traced_dump():
     """A dump from a jittery multi-domain run: routed messages, hold-back
     dwells, retransmits — everything the exporters must handle."""
-    mom = MessageBus(
-        BusConfig(
-            topology=bus_topology(12, 4),
-            seed=7,
-            latency=UniformLatency(0.1, 20.0),
-            loss_rate=0.1,
-        )
-    )
-    tracer = attach(mom)
-    echo_id = mom.deploy(EchoAgent(), 9)
-    sender = FunctionAgent(lambda ctx, s, p: None)
-
-    def boot(ctx):
-        for i in range(10):
-            ctx.send(echo_id, i)
-
-    sender.on_boot = boot
-    mom.deploy(sender, 0)
-    mom.start()
-    mom.run_until_idle()
+    _, tracer = run_lossy_jittery(7, trace=True)
     return TraceDump.from_tracer(tracer)
 
 

@@ -12,13 +12,13 @@ import io
 
 import pytest
 
+from repro.bench.harness import run_lossy_jittery as run_jittery
 from repro.metrics import write_json
-from repro.mom.agent import EchoAgent, FunctionAgent
+from repro.mom.agent import EchoAgent
 from repro.mom.workloads import PingPongDriver
 from repro.mom.bus import MessageBus
 from repro.mom.config import BusConfig
 from repro.obs import attach, detach, install, is_installed, uninstall
-from repro.simulation.network import UniformLatency
 from repro.topology.builders import bus as bus_topology
 from repro.topology.builders import single_domain
 
@@ -39,35 +39,6 @@ def cost_json(mom):
     out = io.StringIO()
     write_json(mom.cost_snapshot(), out)
     return out.getvalue()
-
-
-def run_jittery(seed, trace=False, crash=False):
-    """The determinism-suite workload: 12 servers on a bus of domains,
-    jittery lossy network, 10 messages crossing domains; ``crash`` takes
-    the router the messages cross down mid-run."""
-    mom = MessageBus(
-        BusConfig(
-            topology=bus_topology(12, 4),
-            seed=seed,
-            latency=UniformLatency(0.1, 20.0),
-            loss_rate=0.1,
-        )
-    )
-    tracer = attach(mom) if trace else None
-    echo_id = mom.deploy(EchoAgent(), 9)
-    sender = FunctionAgent(lambda ctx, s, p: None)
-
-    def boot(ctx):
-        for i in range(10):
-            ctx.send(echo_id, i)
-
-    sender.on_boot = boot
-    mom.deploy(sender, 0)
-    if crash:
-        mom.schedule_crash(30.0, 3, 50.0)
-    mom.start()
-    mom.run_until_idle()
-    return mom, tracer
 
 
 class TestTraceIdPropagation:

@@ -1,8 +1,11 @@
 """Unit tests for routing tables (§5's boot-time shortest paths)."""
 
+import tracemalloc
+
 import pytest
 
 from repro.errors import RoutingError
+from repro.topology import routing as routing_module
 from repro.topology import (
     build_routing_tables,
     bus,
@@ -77,3 +80,31 @@ class TestRoutingTables:
                     # consecutive hops always share a domain
                     for a, b in zip(path, path[1:]):
                         assert topo.common_domains(a, b)
+
+
+class TestRoutingMemory:
+    def test_trees_hold_domain_arrays_not_server_arrays(self):
+        """Routing to every destination of bus(4000) keeps O(D) integers
+        per tree (each domain's absorber and absorption rank), not a
+        parent list over all n servers."""
+        topology = bus(4000)
+        tables = build_routing_tables(topology)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.take_snapshot()
+            for dest in topology.servers[1:]:
+                tables[0].next_hop(dest)
+            after = tracemalloc.take_snapshot()
+        finally:
+            tracemalloc.stop()
+        only = [tracemalloc.Filter(True, routing_module.__file__)]
+        grown = sum(
+            stat.size_diff
+            for stat in after.filter_traces(only).compare_to(
+                before.filter_traces(only), "filename"
+            )
+        )
+        per_tree = grown / (topology.server_count - 1)
+        # two 64-entry arrays and their bookkeeping, where one n-entry
+        # parent list alone is 8 * 4000 = 32 000 bytes
+        assert per_tree < 48 * len(topology.domains)

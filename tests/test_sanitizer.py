@@ -273,6 +273,15 @@ def build_pingpong(**config_kwargs):
     return mom, driver
 
 
+def holdback_store(server):
+    """The hold-back store of ``server``'s first domain; server 4 is off
+    the ping-pong route, so this is the domain's first touch."""
+    channel = server.channel
+    domain_id = server.domains[0].domain_id
+    channel.item(domain_id)
+    return channel._holdback[domain_id]
+
+
 class _RelayAgent(Agent):
     def __init__(self):
         super().__init__()
@@ -333,7 +342,7 @@ class TestBusSanitizer:
         sanitizer = BusSanitizer(mom).attach()
         mom.start()
         mom.run_until_idle()
-        store = next(iter(mom.servers[4].channel._holdback.values()))
+        store = holdback_store(mom.servers[4])
         store.count = 1  # fake a stuck held-back envelope
         with pytest.raises(SanitizerViolation, match="holdback-leak"):
             sanitizer.check_quiesce()
@@ -343,7 +352,7 @@ class TestBusSanitizer:
         sanitizer = BusSanitizer(mom).attach()
         mom.start()
         mom.run_until_idle()
-        store = next(iter(mom.servers[4].channel._holdback.values()))
+        store = holdback_store(mom.servers[4])
         store.count = 1
         mom.servers[4].crash()
         sanitizer.check_quiesce()  # held-back is legitimate while down
